@@ -466,10 +466,16 @@ class SheDelayResult:
 
 def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float = 0.75,
                           parasitic_netlist=None, load_c: float = 1e-16,
-                          stimulus: Stimulus = Stimulus()) -> SheDelayResult:
-    """Delays at self-heated channel temperatures (worst-case on-state bias)."""
-    op_n = she_operating_point(nparams, vdd, vdd, ctx_n)
-    op_p = she_operating_point(pparams, -vdd, -vdd, ctx_p)
+                          stimulus: Stimulus = Stimulus(), damping: float = 0.5,
+                          tol_k: float = 0.01, max_iter: int = 100) -> SheDelayResult:
+    """Delays at self-heated channel temperatures (worst-case on-state bias).
+
+    `damping`, `tol_k` and `max_iter` steer both fixed-point loops, as in
+    `she_operating_point`.
+    """
+    loop = {"damping": damping, "tol_k": tol_k, "max_iter": max_iter}
+    op_n = she_operating_point(nparams, vdd, vdd, ctx_n, **loop)
+    op_p = she_operating_point(pparams, -vdd, -vdd, ctx_p, **loop)
     res = inverter_experiment(nparams, pparams, vdd, parasitic_netlist, load_c,
                               stimulus, t_n=op_n.t_channel, t_p=op_p.t_channel)
     return SheDelayResult(

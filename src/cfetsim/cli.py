@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 from . import circuit, device, geometry, netlist_io, parasitics, thermal
 from .config import RunConfig, device_targets, load_config, seed_params
@@ -24,24 +23,12 @@ from .errors import (
     SingularSystemError,
     TransientFailureError,
 )
+from .output import atomic_write
 
 DESIGNS = ("2tier", "4tier-bottom", "4tier-top")
 
 _SOLVER_ERRORS = (ConvergenceError, SingularSystemError, TransientFailureError,
                   CouplingDivergenceError, CalibrationError)
-
-
-def atomic_write(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _design_stack(config: RunConfig, design: str):
@@ -108,10 +95,7 @@ def cmd_thermal(args) -> int:
         params, _ = calibrated_params(config, pol)
         vdd = config.device.vdd
         op = device.she_operating_point(params, device._bias(params, vdd),
-                                        device._bias(params, vdd), ctx,
-                                        damping=config.she["damping"],
-                                        tol_k=config.she["tol_k"],
-                                        max_iter=config.she["max_iter"])
+                                        device._bias(params, vdd), ctx, **config.she)
         power = op.id * vdd
     else:
         try:
@@ -123,11 +107,9 @@ def cmd_thermal(args) -> int:
             raise ConfigurationError("power must be non-negative")
 
     fld = ctx.solve_at_power(power)
-    src = thermal.HeatSourceField(ctx._unit_q.q * power, grid)
     dtmax = thermal.delta_t_max(fld)
-    p_in, p_out, rel = thermal.energy_balance(ctx._op, fld, src)
+    p_in, p_out, rel = thermal.energy_balance(ctx.operator, fld, ctx.heat_source(power))
 
-    os.makedirs(args.out, exist_ok=True)
     thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.csv"), "csv")
     thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.vtk"), "vtk_legacy")
     summary = (
@@ -202,7 +184,8 @@ def cmd_delay(args) -> int:
             nparams, pparams,
             ctx_n=_she_context(config, grid, n_tier),
             ctx_p=_she_context(config, grid, p_tier),
-            vdd=vdd, parasitic_netlist=para, load_c=load_c, stimulus=stim)
+            vdd=vdd, parasitic_netlist=para, load_c=load_c, stimulus=stim,
+            **config.she)
         result = res.result
         lines += [f"delta_t_n_K={float(res.delta_t['n'])!r}",
                   f"delta_t_p_K={float(res.delta_t['p'])!r}"]
@@ -244,18 +227,9 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _apply_threads(args):
-    n = getattr(args, "threads", None) or os.environ.get("CFETSIM_THREADS")
-    if not n:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(n))
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cfetsim",
                                 description="stacked-CFET thermal and parasitic analysis")
-    p.add_argument("--threads", type=int, help="solver thread cap (best effort)")
     sub = p.add_subparsers(dest="command", required=True)
 
     t = sub.add_parser("thermal", help="steady-state self-heating field and delta-T report")
@@ -295,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_threads(args)
     try:
         return args.func(args)
     except _SOLVER_ERRORS as exc:

@@ -35,6 +35,7 @@ from .errors import CalibrationError, ConfigurationError, CouplingDivergenceErro
 from .materials import Material
 from .thermal import (
     HeatSourceField,
+    TemperatureField,
     ThermalBC,
     ThermalOperator,
     assemble,
@@ -278,9 +279,10 @@ class OperatingPoint:
 class ThermalContext:
     """Grid, materials and boundary conditions owned by one SHE analysis.
 
-    The heat equation is linear, so the context solves the unit-power
-    hotspot field once and reuses the per-watt channel response inside the
-    fixed-point loop; the final field is re-solved at the converged power.
+    The heat equation is linear and every sink sits at ambient, so the
+    context solves the unit-power hotspot field once: the fixed-point loop
+    reuses its per-watt channel response, and the field at any power is
+    that unit rise scaled.
     """
 
     grid: object
@@ -290,29 +292,41 @@ class ThermalContext:
     concentration: float = 0.7
     solver_tol: float = 1e-8
 
-    _op: ThermalOperator | None = None
-    _unit_q: HeatSourceField | None = None
+    operator: ThermalOperator | None = field(default=None, init=False)
     r_mean: float = 0.0  # K/W channel-mean rise
     r_max: float = 0.0  # K/W peak rise
+    _unit_q: np.ndarray | None = field(default=None, init=False, repr=False)
+    _unit_rise: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def prepare(self):
-        if self._op is not None:
+        if self.operator is not None:
             return self
-        self._op = assemble(self.grid, self.materials, self.bc)
-        self._unit_q = drain_hotspot_source(self.grid, self.device_region, 1.0,
-                                            self.concentration)
-        fld = solve_steady(self._op, self._unit_q, tol=self.solver_tol)
+        sink_temps = {f.t for f in self.bc.faces.values() if f.kind != "adiabatic"}
+        if len(sink_temps) > 1:
+            raise ConfigurationError(
+                f"self-heating needs every sink at one temperature, got {sorted(sink_temps)}")
+        self.operator = assemble(self.grid, self.materials, self.bc)
+        unit = drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
+        fld = solve_steady(self.operator, unit, tol=self.solver_tol)
         rise = fld.values - self.bc.ambient
         mask = self.grid.cells_of_label(self.device_region)
         vols = self.grid.cell_volumes()
         self.r_mean = float((rise[mask] * vols[mask]).sum() / vols[mask].sum())
         self.r_max = float(rise.max())
+        self._unit_q = unit.q
+        self._unit_rise = rise
         return self
 
-    def solve_at_power(self, power: float):
+    def heat_source(self, power: float) -> HeatSourceField:
+        """The hotspot source that dissipates `power` watts in the channel."""
         self.prepare()
-        q = HeatSourceField(self._unit_q.q * power, self.grid)
-        return solve_steady(self._op, q, tol=self.solver_tol)
+        return HeatSourceField(self._unit_q * power, self.grid)
+
+    def solve_at_power(self, power: float) -> TemperatureField:
+        """Steady field at `power` watts: ambient plus the scaled unit rise."""
+        self.prepare()
+        ambient = self.bc.ambient
+        return TemperatureField(ambient + power * self._unit_rise, ambient)
 
 
 def she_operating_point(p: CompactModelParams, vgs: float, vds: float,

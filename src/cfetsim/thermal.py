@@ -24,6 +24,7 @@ from .errors import (
 )
 from .geometry import VoxelGrid
 from .materials import Material, lookup
+from .output import atomic_write
 
 NM = 1e-9  # nm to m
 
@@ -271,51 +272,50 @@ def export_heatmap(fld: TemperatureField, grid: VoxelGrid, path, fmt: str = "csv
     if fld.values.shape != grid.dims:
         raise ConfigurationError("field and grid dims differ")
     if fmt == "csv":
-        text = _heatmap_csv(fld, grid)
+        chunks = _heatmap_csv(fld, grid)
     elif fmt == "vtk_legacy":
-        text = _heatmap_vtk(fld, grid)
+        chunks = _heatmap_vtk(fld, grid)
     else:
         raise ConfigurationError(f"unknown heatmap format {fmt!r}")
-    with open(path, "w") as f:
-        f.write(text)
+    atomic_write(path, chunks)
 
+
+def _reprs(values: np.ndarray):
+    """`repr(float(v))` of each value in C order, as a lazy iterator."""
+    return map(repr, values.ravel().tolist())
+
+
+# The writers yield one slab of lines at a time, so a heatmap never sits
+# in memory as one string or as one Python object per cell.
 
 def _heatmap_csv(fld, grid):
-    xc, yc, zc = (grid.centers(a) for a in range(3))
-    lines = ["x_nm,y_nm,z_nm,T_K"]
-    t = fld.values
-    for i in range(len(xc)):
-        for j in range(len(yc)):
-            for k in range(len(zc)):
-                lines.append(f"{float(xc[i])!r},{float(yc[j])!r},{float(zc[k])!r},{float(t[i, j, k])!r}")
-    return "\n".join(lines) + "\n"
+    xs, ys, zs = (list(_reprs(grid.centers(a))) for a in range(3))
+    zs = [f"{z}," for z in zs]
+    yield "x_nm,y_nm,z_nm,T_K\n"
+    # rows in C order: z varies fastest
+    for x, slab in zip(xs, fld.values):
+        rows = map(str.__add__, (f"{x},{y},{z}" for y in ys for z in zs), _reprs(slab))
+        yield "\n".join(rows) + "\n"
 
 
 def _heatmap_vtk(fld, grid):
     nx, ny, nz = grid.dims
-    xc, yc, zc = (grid.centers(a) for a in range(3))
-    out = [
-        "# vtk DataFile Version 3.0",
-        "temperature field",
-        "ASCII",
-        "DATASET STRUCTURED_GRID",
-        f"DIMENSIONS {nx} {ny} {nz}",
-        f"POINTS {nx * ny * nz} double",
-    ]
+    xs, ys, zs = (list(_reprs(grid.centers(a))) for a in range(3))
+    yield ("# vtk DataFile Version 3.0\n"
+           "temperature field\n"
+           "ASCII\n"
+           "DATASET STRUCTURED_GRID\n"
+           f"DIMENSIONS {nx} {ny} {nz}\n"
+           f"POINTS {nx * ny * nz} double\n")
     # VTK point order: x varies fastest
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                out.append(f"{float(xc[i])!r} {float(yc[j])!r} {float(zc[k])!r}")
-    out.append(f"POINT_DATA {nx * ny * nz}")
-    out.append("SCALARS temperature double 1")
-    out.append("LOOKUP_TABLE default")
-    t = fld.values
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                out.append(f"{float(t[i, j, k])!r}")
-    return "\n".join(out) + "\n"
+    for z in zs:
+        yz = [f" {y} {z}" for y in ys]
+        yield "\n".join(x + p for p in yz for x in xs) + "\n"
+    yield (f"POINT_DATA {nx * ny * nz}\n"
+           "SCALARS temperature double 1\n"
+           "LOOKUP_TABLE default\n")
+    for slab in fld.values.transpose():
+        yield "\n".join(_reprs(slab)) + "\n"
 
 
 def parse_heatmap_csv(path) -> np.ndarray:

@@ -1,6 +1,9 @@
+import errno
+import os
+
 import pytest
 
-from cfetsim import cli
+from cfetsim import cli, device, output, thermal
 from cfetsim.config import load_config, parse_value
 from cfetsim.errors import ConfigurationError
 
@@ -111,6 +114,17 @@ def test_help_exits_zero(capsys):
         assert "usage" in capsys.readouterr().out.lower()
 
 
+def test_threads_flag_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path)
+    thermal_argv = ["thermal", path, "--device", "0:p", "--out", str(tmp_path / "th")]
+    for argv in (["--threads", "2", *thermal_argv], [*thermal_argv, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "th").exists()
+
+
 def test_bogus_design_exits_two(tmp_path, capsys):
     path = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -153,6 +167,89 @@ def test_cmd_thermal_zero_power(tmp_path):
     summary = (out / "summary.txt").read_text()
     dtmax = float(summary.split("delta_t_max_K=")[1].splitlines()[0])
     assert dtmax == 0.0
+
+
+def read_summary(out):
+    return dict(line.split("=", 1) for line in (out / "summary.txt").read_text().splitlines())
+
+
+@pytest.mark.parametrize("power", ["2e-6", "auto"])
+def test_cmd_thermal_solves_once(tmp_path, monkeypatch, power):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return thermal.solve_steady(*args, **kwargs)
+
+    monkeypatch.setattr(device, "solve_steady", counting)
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", f"power = {power}"))
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "th")]) == 0
+    assert len(calls) == 1
+
+
+def test_cmd_thermal_matches_direct_solve(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "th"
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(out)]) == 0
+    summary = read_summary(out)
+
+    config = cli.load_config(path)
+    grid = cli.build_inverter_grid(config, "2tier")[0]
+    ctx = cli._she_context(config, grid, 0).prepare()
+    src = ctx.heat_source(float(summary["power_W"]))
+    fld = thermal.solve_steady(ctx.operator, src, tol=1e-12)
+    _, _, rel = thermal.energy_balance(ctx.operator, fld, src)
+    assert float(summary["delta_t_max_K"]) == pytest.approx(thermal.delta_t_max(fld), rel=1e-6)
+    assert float(summary["balance_rel"]) == pytest.approx(rel, abs=1e-6)
+
+
+def test_cmd_thermal_failed_write_keeps_earlier_heatmap(tmp_path, monkeypatch):
+    path = write_config(tmp_path)
+    out = tmp_path / "th"
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    class DiskFull:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def writelines(self, chunks):
+            self.f.write(next(iter(chunks)))
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    opened = []
+
+    def second_write_fails(fd, mode):
+        opened.append(fd)
+        f = open(fd, mode)
+        return f if len(opened) == 1 else DiskFull(f)
+
+    monkeypatch.setattr(output, "open", second_write_fails, raising=False)
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", "power = 3e-6"))
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(out)]) == 2
+    assert len(opened) == 2
+    assert sorted(os.listdir(out)) == sorted(before)
+    assert (out / "heatmap.vtk").read_bytes() == before["heatmap.vtk"]
+    assert (out / "summary.txt").read_bytes() == before["summary.txt"]
+    assert (out / "heatmap.csv").read_bytes() != before["heatmap.csv"]
+
+
+def test_cmd_thermal_outputs_respect_umask(tmp_path):
+    path = write_config(tmp_path)
+    out = tmp_path / "th"
+    old = os.umask(0o022)
+    try:
+        assert cli.main(["thermal", path, "--device", "0:p", "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("summary.txt", "heatmap.csv", "heatmap.vtk"):
+        assert os.stat(out / name).st_mode & 0o777 == 0o644, name
 
 
 def test_cmd_thermal_wrong_polarity(tmp_path):
@@ -252,6 +349,14 @@ def test_cmd_delay_she_zero_coefficients(tmp_path):
 
     assert tp(out_she) == pytest.approx(tp(out_iso), rel=1e-3)
     assert "delta_t_n_K=" in (out_she / "report.txt").read_text()
+
+
+def test_cmd_delay_she_honours_max_iter(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG + "\n[she]\nmax_iter = 1\n")
+    rc = cli.main(["delay", path, "--design", "2tier", "--parasitics", "off",
+                   "--she", "on", "--out", str(tmp_path / "she")])
+    assert rc == 3
+    assert "after 1 iterations" in capsys.readouterr().err
 
 
 def test_cmd_calibrate_report(tmp_path):

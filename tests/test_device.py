@@ -21,7 +21,7 @@ from cfetsim.device import (
     transfer_curve,
 )
 from cfetsim.errors import CalibrationError, ConfigurationError
-from cfetsim.thermal import default_bc
+from cfetsim.thermal import FaceBC, ThermalBC, default_bc
 
 VDD = 0.75
 
@@ -159,6 +159,23 @@ def test_fit_ion_single_knob():
 
 def she_context(grid, library, region):
     return ThermalContext(grid, library, default_bc(), region)
+
+
+def test_context_rejects_sinks_at_different_temperatures(device_grid2, library):
+    faces = dict(default_bc().faces)
+    faces["z_max"] = FaceBC("robin", t=310.0, h=5e4)
+    ctx = ThermalContext(device_grid2, library, ThermalBC(faces), "tier0.channel")
+    with pytest.raises(ConfigurationError, match="one temperature"):
+        ctx.prepare()
+
+
+def test_context_field_scales_unit_rise(device_grid2, library):
+    ctx = she_context(device_grid2, library, "tier0.channel").prepare()
+    assert ctx.solve_at_power(0.0).values.max() == 300.0
+    one = ctx.solve_at_power(1.0).values - 300.0
+    two = ctx.solve_at_power(2.0).values - 300.0
+    assert one.max() == pytest.approx(ctx.r_max, rel=1e-12)
+    assert np.allclose(two, 2.0 * one, rtol=1e-12, atol=1e-9)
 
 
 def test_she_one_way_coupling(device_grid2, library):

@@ -6,12 +6,13 @@ from cfetsim.errors import (
     RegionNotFoundError,
     SingularSystemError,
 )
-from cfetsim.geometry import Region, voxelize
+from cfetsim.geometry import Region, VoxelGrid, voxelize
 from cfetsim.materials import Material, default_library
 from cfetsim.thermal import (
     FACE_KEYS,
     FaceBC,
     HeatSourceField,
+    TemperatureField,
     ThermalBC,
     assemble,
     default_bc,
@@ -227,6 +228,53 @@ def test_heatmap_vtk_header(tmp_path, library):
     assert text[0].startswith("# vtk DataFile Version")
     assert "DATASET STRUCTURED_GRID" in text
     assert any(line.startswith("SCALARS temperature") for line in text)
+
+
+def _per_cell_csv(fld, grid):
+    # one f-string per cell: the bytes the slab-wise CSV writer must reproduce
+    xc, yc, zc = (grid.centers(a) for a in range(3))
+    lines = ["x_nm,y_nm,z_nm,T_K"]
+    t = fld.values
+    for i in range(len(xc)):
+        for j in range(len(yc)):
+            for k in range(len(zc)):
+                lines.append(f"{float(xc[i])!r},{float(yc[j])!r},{float(zc[k])!r},{float(t[i, j, k])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _per_cell_vtk(fld, grid):
+    # one f-string per cell: the bytes the slab-wise VTK writer must reproduce
+    nx, ny, nz = grid.dims
+    xc, yc, zc = (grid.centers(a) for a in range(3))
+    out = ["# vtk DataFile Version 3.0", "temperature field", "ASCII",
+           "DATASET STRUCTURED_GRID", f"DIMENSIONS {nx} {ny} {nz}",
+           f"POINTS {nx * ny * nz} double"]
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                out.append(f"{float(xc[i])!r} {float(yc[j])!r} {float(zc[k])!r}")
+    out += [f"POINT_DATA {nx * ny * nz}", "SCALARS temperature double 1", "LOOKUP_TABLE default"]
+    t = fld.values
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                out.append(f"{float(t[i, j, k])!r}")
+    return "\n".join(out) + "\n"
+
+
+def test_heatmap_writers_match_per_cell_formatter(tmp_path):
+    rng = np.random.default_rng(7)
+    edges = [np.array([0.0, 0.5, 1.7, 4.0, 4.1]),
+             np.array([-3.0, -1.25, 0.1, 2.0 / 3.0]),
+             np.array([0.0, 1e-3, 2.5, 2.6, 7.0, 30.0])]
+    dims = tuple(len(e) - 1 for e in edges)
+    grid = VoxelGrid(*edges, np.zeros(dims, dtype=int), np.full(dims, -1), ["silicon_bulk"], [])
+    values = 300.0 + rng.random(dims) * rng.choice([0.0, 1e-9, 1e-3, 1.0, 1e4], dims)
+    fld = TemperatureField(values, 300.0)
+    for fmt, reference in (("csv", _per_cell_csv), ("vtk_legacy", _per_cell_vtk)):
+        path = tmp_path / f"map.{fmt}"
+        export_heatmap(fld, grid, path, fmt)
+        assert path.read_bytes() == reference(fld, grid).encode()
 
 
 def test_source_validation(device_grid2):
