@@ -143,7 +143,8 @@ def cmd_extract(args) -> int:
     atomic_write(os.path.join(args.out, "geometry.csv"), geometry.regions_csv(regions))
     atomic_write(os.path.join(args.out, "capacitance.csv"), cmat.to_csv())
     atomic_write(os.path.join(args.out, "resistance.csv"), rrep.to_csv())
-    diag = [f"cells={grid.n_cells}", f"asymmetry_rel={float(cmat.asymmetry)!r}"]
+    diag = [f"cells={grid.n_cells}", f"asymmetry_rel={float(cmat.asymmetry)!r}",
+            f"clipped_rel={float(cmat.clipped)!r}"]
     diag += [f"pruned {name} {value!r}" for name, value in pruned]
     atomic_write(os.path.join(args.out, "diagnostics.txt"), "\n".join(diag) + "\n")
     print(f"extracted {len(nl.elements)} elements for {args.design}")
@@ -180,10 +181,11 @@ def cmd_delay(args) -> int:
     if args.she == "on":
         grid, stack, wired, _ = build_inverter_grid(config, args.design)
         p_tier, n_tier = wired
+        ctx_n = _she_context(config, grid, n_tier).prepare()
+        ctx_p = _she_context(config, grid, p_tier)
+        ctx_p.operator = ctx_n.operator  # one grid, one heat operator
         res = circuit.electro_thermal_delay(
-            nparams, pparams,
-            ctx_n=_she_context(config, grid, n_tier),
-            ctx_p=_she_context(config, grid, p_tier),
+            nparams, pparams, ctx_n=ctx_n, ctx_p=ctx_p,
             vdd=vdd, parasitic_netlist=para, load_c=load_c, stimulus=stim,
             **config.she)
         result = res.result

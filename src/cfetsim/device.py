@@ -299,13 +299,16 @@ class ThermalContext:
     _unit_rise: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def prepare(self):
-        if self.operator is not None:
+        """Solve the unit rise; an `operator` set beforehand for the same grid,
+        materials and boundary conditions is reused, not assembled again."""
+        if self._unit_rise is not None:
             return self
         sink_temps = {f.t for f in self.bc.faces.values() if f.kind != "adiabatic"}
         if len(sink_temps) > 1:
             raise ConfigurationError(
                 f"self-heating needs every sink at one temperature, got {sorted(sink_temps)}")
-        self.operator = assemble(self.grid, self.materials, self.bc)
+        if self.operator is None:
+            self.operator = assemble(self.grid, self.materials, self.bc)
         unit = drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
         fld = solve_steady(self.operator, unit, tol=self.solver_tol)
         rise = fld.values - self.bc.ambient

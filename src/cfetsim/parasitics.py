@@ -1,11 +1,14 @@
 """Field-solver parasitic extraction over a voxelized cell.
 
+Both solves use the finite-volume operator of `fv`, with each conductor
+or terminal as one fixed-value column of its coupling matrix.
+
 Capacitance: one Laplace solve per conductor with that conductor at 1 V
 and the rest grounded, zero normal flux on the outer boundary (optionally
 a grounded shield). The Dirichlet value sits on the conductor surface, so
 a plate gap meshed into k uniform cells reproduces eps A / d exactly up
-to fringing. Charges come from Gauss summation over the conductor faces
-of the same discrete operator, which keeps the Maxwell matrix symmetric
+to fringing. Charges are the boundary fluxes of the same discrete
+operator (Gauss summation), which keeps the Maxwell matrix symmetric
 to solver precision. Conductor-role cells that are not in the extraction
 set (floating metal) are treated as a very high permittivity dielectric.
 
@@ -19,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import ndimage
 from scipy.sparse import linalg as spla
 
+from . import fv
 from .circuit import Capacitor, Netlist, Resistor
 from .errors import (
     ComparisonError,
@@ -34,8 +38,8 @@ from .geometry import VoxelGrid, locate_conductors
 from .materials import Material, lookup
 
 EPS0 = 8.8541878128e-12  # F/m
-NM = 1e-9
 FLOATING_METAL_EPS = 1000.0  # quasi-equipotential stand-in for unlisted metal
+MAXWELL_RTOL = 1e-9  # symmetry and coupling-sign tolerance, relative to the largest entry
 
 # face sets are (flat cell index, axis, side) with side 0 = low face
 Face = tuple[int, int, int]
@@ -46,18 +50,19 @@ class CapacitanceMatrix:
     names: list[str]
     c: np.ndarray  # F, Maxwell sign convention
     asymmetry: float = 0.0  # largest relative asymmetry before averaging
+    clipped: float = 0.0  # largest positive coupling set to 0, relative
 
     def __post_init__(self):
         n = len(self.names)
         if self.c.shape != (n, n):
             raise GeometryError("capacitance matrix shape mismatch")
         scale = float(np.abs(self.c).max()) or 1.0
-        if np.abs(self.c - self.c.T).max() > 1e-9 * scale:
+        if np.abs(self.c - self.c.T).max() > MAXWELL_RTOL * scale:
             raise GeometryError("capacitance matrix not symmetric")
         if (np.diag(self.c) <= 0).any():
             raise GeometryError("capacitance diagonal must be positive")
         off = self.c - np.diag(np.diag(self.c))
-        if (off > 1e-9 * scale).any():
+        if (off > MAXWELL_RTOL * scale).any():
             raise GeometryError("off-diagonal couplings must be non-positive")
         if (self.c.sum(axis=1) < -1e-6 * scale).any():
             raise GeometryError("row sums must be non-negative")
@@ -104,25 +109,6 @@ def _cell_eps(grid: VoxelGrid, materials: dict[str, Material]) -> np.ndarray:
     return eps
 
 
-def _axis_faces(grid):
-    """Iterate interior face geometry per axis: areas and half-widths in m."""
-    w = [grid.widths(a) * NM for a in range(3)]
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        shape = list(grid.dims)
-        shape[axis] -= 1
-        area = np.ones(shape)
-        for o in others:
-            view = [None, None, None]
-            view[o] = slice(None)
-            area = area * np.broadcast_to(w[o][tuple(view)], shape)
-        view = [None, None, None]
-        view[axis] = slice(None)
-        d_lo = np.broadcast_to((w[axis][:-1] / 2)[tuple(view)], shape)
-        d_hi = np.broadcast_to((w[axis][1:] / 2)[tuple(view)], shape)
-        yield axis, area, d_lo, d_hi
-
-
 def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
                         conductors: list[str], tol: float = 1e-10,
                         shield: bool = False) -> CapacitanceMatrix:
@@ -134,8 +120,8 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
         if name not in located:
             raise RegionNotFoundError(f"conductor {name!r} not on grid")
 
-    n = grid.n_cells
-    cond_id = np.full(n, -1, dtype=np.int32)
+    nrhs = len(conductors)
+    cond_id = np.full(grid.n_cells, -1, dtype=np.int32)
     for ci, name in enumerate(conductors):
         cells = located[name]
         if (cond_id[cells] >= 0).any():
@@ -143,98 +129,46 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
         cond_id[cells] = ci
     cond_id = cond_id.reshape(grid.dims)
     domain = cond_id < 0
-
     eps = _cell_eps(grid, materials)
-    dof = np.full(grid.dims, -1, dtype=np.int64)
-    dof[domain] = np.arange(int(domain.sum()))
-    ndof = int(domain.sum())
+    idx = np.arange(grid.n_cells).reshape(grid.dims)
 
-    rows, cols, vals = [], [], []
-    diag = np.zeros(ndof)
-    nrhs = len(conductors)
-    rhs = np.zeros((nrhs, ndof))
-    # faces between domain cells and each conductor, for Gauss charge sums
-    cond_faces: list[list[tuple[int, float, int]]] = [[] for _ in range(nrhs)]
-
-    for axis, area, d_lo, d_hi in _axis_faces(grid):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        e_lo, e_hi = eps[tuple(sl_lo)], eps[tuple(sl_hi)]
-        dom_lo, dom_hi = domain[tuple(sl_lo)], domain[tuple(sl_hi)]
-        id_lo, id_hi = cond_id[tuple(sl_lo)], cond_id[tuple(sl_hi)]
-        dof_lo, dof_hi = dof[tuple(sl_lo)], dof[tuple(sl_hi)]
-
-        both = dom_lo & dom_hi
-        g = np.where(both, area / (d_lo / e_lo + d_hi / e_hi), 0.0)
-        gl = g[both]
-        rows.extend((dof_lo[both], dof_hi[both]))
-        cols.extend((dof_hi[both], dof_lo[both]))
-        vals.extend((-gl, -gl))
-        np.add.at(diag, dof_lo[both], gl)
-        np.add.at(diag, dof_hi[both], gl)
-
-        # Dirichlet at the conductor face: only the dielectric half counts
-        for dom_side, other_id, d_side, e_side, dof_side in (
-            (dom_lo & ~dom_hi, id_hi, d_lo, e_lo, dof_lo),
-            (dom_hi & ~dom_lo, id_lo, d_hi, e_hi, dof_hi),
-        ):
-            m = dom_side
-            if not m.any():
-                continue
-            gb = area[m] / (d_side[m] / e_side[m])
-            cells = dof_side[m]
-            np.add.at(diag, cells, gb)
-            which = other_id[m]
-            for ci in range(nrhs):
-                sel = which == ci
-                if sel.any():
-                    np.add.at(rhs[ci], cells[sel], gb[sel])
-                    cond_faces[ci].extend(zip(cells[sel].tolist(), gb[sel].tolist(),
-                                              [ci] * int(sel.sum())))
-
-    if shield:
-        w = [grid.widths(a) * NM for a in range(3)]
-        for axis in range(3):
+    # Dirichlet on each conductor face, column = conductor; column nrhs is
+    # the grounded shield on the outer boundary
+    fixed = []
+    for axis in range(3):
+        lo, hi = fv.face_pairs(axis)
+        for inner, outer in ((lo, hi), (hi, lo)):
+            m = domain[inner] & ~domain[outer]
+            cells = idx[inner][m]
+            fixed.append((cells, fv.half_conductance(grid, eps, cells, axis),
+                          cond_id[outer][m]))
+        if shield:
             for side in (0, -1):
                 sl = [slice(None)] * 3
                 sl[axis] = side
-                m = domain[tuple(sl)]
-                a, b = (x for x in range(3) if x != axis)
-                area_b = np.multiply.outer(w[a], w[b])[m]
-                gb = area_b / ((w[axis][side] / 2) / eps[tuple(sl)][m])
-                np.add.at(diag, dof[tuple(sl)][m], gb)
+                cells = idx[tuple(sl)][domain[tuple(sl)]]
+                fixed.append((cells, fv.half_conductance(grid, eps, cells, axis), nrhs))
+    mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs + 1)
 
-    rows.append(np.arange(ndof))
-    cols.append(np.arange(ndof))
-    vals.append(diag)
-    mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof)).tocsr()
-
-    d = mat.diagonal()
-    precond = spla.LinearOperator(mat.shape, matvec=lambda v: v / d)
-    c_raw = np.zeros((nrhs, nrhs))
-    for i in range(nrhs):
-        phi, info = spla.cg(mat, rhs[i], rtol=tol, atol=0.0,
-                            maxiter=40 * max(grid.dims) + 2000, M=precond)
-        if info != 0:
-            raise ConvergenceError(f"capacitance solve {conductors[i]} stalled")
-        for j in range(nrhs):
-            phi_j = 1.0 if j == i else 0.0
-            q = 0.0
-            for cell, g, _ in cond_faces[j]:
-                q += g * (phi_j - phi[cell])
-            c_raw[i, j] = q
+    phi_fixed = np.eye(nrhs + 1, nrhs)  # solve i: conductor i at 1 V, all else at 0
+    rhs = coupling @ phi_fixed
+    phi = np.column_stack([
+        fv.solve_spd(mat, rhs[:, i], tol, grid, name=f"capacitance solve {name}")
+        for i, name in enumerate(conductors)])
+    # Gauss sums: c_raw[i, j] is the charge on conductor j in solve i
+    c_raw = fv.boundary_flux(coupling, phi, phi_fixed)[:nrhs].T
 
     sym = 0.5 * (c_raw + c_raw.T)
     scale = np.abs(sym).max() or 1.0
     asym = float(np.abs(c_raw - c_raw.T).max() / scale)
-    # clip solver-noise positives on the off-diagonal
-    off_mask = ~np.eye(nrhs, dtype=bool)
-    sym[off_mask & (sym > 0)] = np.minimum(sym[off_mask & (sym > 0)], 0.0)
-    return CapacitanceMatrix(list(conductors), sym, asymmetry=asym)
+    positive = ~np.eye(nrhs, dtype=bool) & (sym > 0)
+    clipped = float(sym[positive].max(initial=0.0) / scale)
+    if clipped > MAXWELL_RTOL:
+        raise ConvergenceError(
+            f"capacitance solves left a positive coupling of {clipped:.3g} "
+            "of the largest entry")
+    sym[positive] = 0.0  # solver-noise positives
+    return CapacitanceMatrix(list(conductors), sym, asymmetry=asym, clipped=clipped)
 
 
 def boundary_port_faces(grid: VoxelGrid, label: str) -> list[Face]:
@@ -337,64 +271,17 @@ def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
         raise ConnectivityError(
             f"terminals on {label_name!r} are not on one connected component")
 
-    dof = np.full(grid.dims, -1, dtype=np.int64)
-    dof[mask] = np.arange(int(mask.sum()))
-    ndof = int(mask.sum())
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(ndof)
-    rhs = np.zeros(ndof)
-
-    for axis, area, d_lo, d_hi in _axis_faces(grid):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        both = mask[tuple(sl_lo)] & mask[tuple(sl_hi)]
-        if not both.any():
-            continue
-        g = area[both] / (d_lo[both] * rho[tuple(sl_lo)][both]
-                          + d_hi[both] * rho[tuple(sl_hi)][both])
-        lo = dof[tuple(sl_lo)][both]
-        hi = dof[tuple(sl_hi)][both]
-        rows.extend((lo, hi))
-        cols.extend((hi, lo))
-        vals.extend((-g, -g))
-        np.add.at(diag, lo, g)
-        np.add.at(diag, hi, g)
-
-    w = [grid.widths(a) * NM for a in range(3)]
-    rho_flat = rho.ravel()
-
-    def face_g(cell, axis, side):
-        ii = np.unravel_index(cell, grid.dims)
-        others = [a for a in range(3) if a != axis]
-        area = w[others[0]][ii[others[0]]] * w[others[1]][ii[others[1]]]
-        half = w[axis][ii[axis]] / 2
-        return area / (half * rho_flat[cell])
-
-    dof_flat = dof.ravel()
-    term_sets = []
-    for faces, phi_fixed in ((faces_a, 1.0), (faces_b, 0.0)):
-        fg = [(int(dof_flat[c]), face_g(c, axis, side)) for c, axis, side in faces]
-        for d, g in fg:
-            diag[d] += g
-            rhs[d] += g * phi_fixed
-        term_sets.append((fg, phi_fixed))
-
-    rows.append(np.arange(ndof))
-    cols.append(np.arange(ndof))
-    vals.append(diag)
-    mat = sparse.coo_matrix(
-        (np.concatenate([np.asarray(v) for v in vals]),
-         (np.concatenate([np.asarray(v) for v in rows]),
-          np.concatenate([np.asarray(v) for v in cols]))),
-        shape=(ndof, ndof)).tocsr()
-    phi = spla.spsolve(mat, rhs)
-
-    currents = []
-    for fg, phi_fixed in term_sets:
-        currents.append(sum(g * (phi_fixed - phi[d]) for d, g in fg))
+    sigma = np.where(mask, 1.0 / rho, 1.0)  # 1 keeps faces off the conductor finite
+    fixed = []
+    for column, faces in enumerate((faces_a, faces_b)):
+        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
+        for axis in range(3):
+            cells = f[f[:, 1] == axis, 0]
+            fixed.append((cells, fv.half_conductance(grid, sigma, cells, axis), column))
+    mat, coupling = fv.assemble(grid, sigma, mask, fixed, 2)
+    v_fixed = np.array([1.0, 0.0])
+    phi = spla.spsolve(mat, coupling @ v_fixed)
+    currents = fv.boundary_flux(coupling, phi, v_fixed)
     i_a, i_b = currents[0], -currents[1]
     i_mean = 0.5 * (i_a + i_b)
     if not i_mean > 0:

@@ -1,9 +1,11 @@
 import errno
 import os
 
+import numpy as np
 import pytest
+from scipy.sparse import linalg as spla
 
-from cfetsim import cli, device, output, thermal
+from cfetsim import cli, device, fv, output, thermal
 from cfetsim.config import load_config, parse_value
 from cfetsim.errors import ConfigurationError
 
@@ -357,6 +359,53 @@ def test_cmd_delay_she_honours_max_iter(tmp_path, capsys):
                    "--she", "on", "--out", str(tmp_path / "she")])
     assert rc == 3
     assert "after 1 iterations" in capsys.readouterr().err
+
+
+def test_cmd_delay_she_assembles_heat_operator_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return thermal.assemble(*args, **kwargs)
+
+    monkeypatch.setattr(device, "assemble", counting)
+    path = write_config(tmp_path)
+    out = tmp_path / "she"
+    assert cli.main(["delay", path, "--design", "2tier", "--parasitics", "off",
+                     "--she", "on", "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+    # each channel's rise is the one a context of its own gives
+    report = dict(line.split("=", 1) for line in (out / "report.txt").read_text().splitlines())
+    config = cli.load_config(path)
+    grid, _, (p_tier, n_tier), _ = cli.build_inverter_grid(config, "2tier")
+    vdd = config.device.vdd
+    for pol, tier, bias in (("n", n_tier, vdd), ("p", p_tier, -vdd)):
+        params, _ = cli.calibrated_params(config, pol)
+        op = device.she_operating_point(params, bias, bias, cli._she_context(config, grid, tier),
+                                        **config.she)
+        assert report[f"delta_t_{pol}_K"] == repr(float(op.delta_t))
+
+
+def test_cmd_extract_reports_and_rejects_clipped_couplings(tmp_path, monkeypatch, capsys):
+    path = write_config(tmp_path)
+    out = tmp_path / "ex"
+    assert cli.main(["extract", path, "--design", "2tier", "--out", str(out)]) == 0
+    assert "clipped_rel=0.0\n" in (out / "diagnostics.txt").read_text()
+
+    real = fv.solve_spd
+    monkeypatch.setattr(fv, "solve_spd", lambda *args, **kwargs: real(*args, **kwargs) - 0.5)
+    assert cli.main(["extract", path, "--design", "2tier", "--out", str(out)]) == 3
+    assert "positive coupling" in capsys.readouterr().err
+
+
+def test_cmd_extract_stalled_solve_exits_three(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(spla, "cg", lambda a, b, **kwargs: (np.zeros_like(b), 9))
+    path = write_config(tmp_path)
+    assert cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "ex")]) == 3
+    err = capsys.readouterr().err
+    assert "capacitance solve Input stalled" in err
+    assert "(residual 1)" in err  # |b - A 0| / |b|
 
 
 def test_cmd_calibrate_report(tmp_path):
