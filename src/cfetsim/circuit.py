@@ -1,10 +1,12 @@
 """Transient simulation of R / C / source / transistor netlists.
 
 Modified nodal analysis with ground elimination and backward Euler time
-stepping. Capacitors are stamped as companion conductances C/dt with a
-history current; transistors are linearized every Newton iteration from
-finite differences of the compact model. Node counts stay below about a
-hundred here, so each Newton step is a dense solve.
+stepping. Ground is stamped as one more full row and column, which are
+then dropped (the indefinite admittance form), so no stamp branches on
+it. Capacitors are stamped as companion conductances C/dt with a history
+current; transistors are linearized every Newton iteration from finite
+differences of the compact model. Node counts stay below about a hundred
+here, so each Newton step is a dense solve.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .errors import (
 )
 
 GROUND = "0"
+ABSTOL = 1e-6  # V, Newton update at which a step counts as converged
+NEWTON_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,6 @@ class Transistor:
 @dataclass
 class Netlist:
     elements: list = field(default_factory=list)
-    ground: str = GROUND
 
     def add(self, element):
         self.elements.append(element)
@@ -69,8 +72,8 @@ class Netlist:
 
     @property
     def nodes(self) -> list[str]:
-        seen = {self.ground}
-        out = [self.ground]
+        seen = {GROUND}
+        out = [GROUND]
         for el in self.elements:
             refs = (el.d, el.g, el.s) if isinstance(el, Transistor) else (el.n1, el.n2)
             for n in refs:
@@ -95,14 +98,14 @@ class Netlist:
         def union(a, b):
             parent[find(a)] = find(b)
 
-        find(self.ground)
+        find(GROUND)
         for el in self.elements:
             if isinstance(el, (Resistor, VSource)):
                 union(el.n1, el.n2)
             elif isinstance(el, Transistor):
                 union(el.d, el.s)
                 union(el.g, el.s)
-        root = find(self.ground)
+        root = find(GROUND)
         for n in self.nodes:
             if find(n) != root:
                 raise NetlistError(f"node {n!r} has no DC path to ground")
@@ -121,9 +124,6 @@ class Waveform:
         if len(self.t) > 1 and not np.all(np.diff(self.t) > 0):
             raise ConfigurationError("waveform times must be strictly increasing")
 
-    def at(self, t):
-        return np.interp(t, self.t, self.v)
-
 
 def _pwl_value(pwl, t):
     ts = [p[0] for p in pwl]
@@ -131,50 +131,43 @@ def _pwl_value(pwl, t):
     return float(np.interp(t, ts, vs))
 
 
+def _stamp_pair(mat, i, j, g):
+    mat[i, i] += g
+    mat[j, j] += g
+    mat[i, j] -= g
+    mat[j, i] -= g
+
+
 class _Mna:
     def __init__(self, netlist: Netlist):
         netlist.validate_for_transient()
-        self.netlist = netlist
-        self.node_names = [n for n in netlist.nodes if n != netlist.ground]
+        self.node_names = netlist.nodes[1:]  # nodes lists ground first
         self.node_index = {n: i for i, n in enumerate(self.node_names)}
         self.vsources = [el for el in netlist.elements if isinstance(el, VSource)]
         self.nv = len(self.node_names)
         self.n = self.nv + len(self.vsources)
-        self.transistors = [el for el in netlist.elements if isinstance(el, Transistor)]
+        idx = {**self.node_index, GROUND: self.n}  # ground is the dropped last row
+        self.transistors = [(el, idx[el.d], idx[el.g], idx[el.s])
+                            for el in netlist.elements if isinstance(el, Transistor)]
 
-        self.g_static = np.zeros((self.n, self.n))
-        self.c_mat = np.zeros((self.n, self.n))
+        g_full = np.zeros((self.n + 1, self.n + 1))
+        c_full = np.zeros((self.n + 1, self.n + 1))
         for el in netlist.elements:
             if isinstance(el, Resistor):
                 if not el.value > 0:
                     raise NetlistError(f"{el.name}: resistance must be positive")
-                self._stamp_pair(self.g_static, el.n1, el.n2, 1.0 / el.value)
+                _stamp_pair(g_full, idx[el.n1], idx[el.n2], 1.0 / el.value)
             elif isinstance(el, Capacitor):
                 if el.value < 0:
                     raise NetlistError(f"{el.name}: negative capacitance")
-                self._stamp_pair(self.c_mat, el.n1, el.n2, el.value)
+                _stamp_pair(c_full, idx[el.n1], idx[el.n2], el.value)
         for k, src in enumerate(self.vsources):
             row = self.nv + k
             for node, sign in ((src.n1, 1.0), (src.n2, -1.0)):
-                i = self._idx(node)
-                if i is not None:
-                    self.g_static[row, i] += sign
-                    self.g_static[i, row] += sign
-
-    def _idx(self, node):
-        if node == self.netlist.ground:
-            return None
-        return self.node_index[node]
-
-    def _stamp_pair(self, mat, n1, n2, g):
-        i, j = self._idx(n1), self._idx(n2)
-        if i is not None:
-            mat[i, i] += g
-        if j is not None:
-            mat[j, j] += g
-        if i is not None and j is not None:
-            mat[i, j] -= g
-            mat[j, i] -= g
+                g_full[row, idx[node]] += sign
+                g_full[idx[node], row] += sign
+        self.g_static = np.ascontiguousarray(g_full[:-1, :-1])
+        self.c_mat = np.ascontiguousarray(c_full[:-1, :-1])
 
     def source_vector(self, t, scale=1.0):
         s = np.zeros(self.n)
@@ -184,35 +177,24 @@ class _Mna:
 
     def _device_stamps(self, x):
         """Nonlinear currents and their Jacobian at node voltages x."""
-        f = np.zeros(self.n)
-        j = np.zeros((self.n, self.n))
+        v = np.append(x, 0.0)  # ground at the last index
+        f = np.zeros(self.n + 1)
+        j = np.zeros((self.n + 1, self.n + 1))
         h = 1e-6
-        for tr in self.transistors:
-            vd = x[self._idx(tr.d)] if self._idx(tr.d) is not None else 0.0
-            vg = x[self._idx(tr.g)] if self._idx(tr.g) is not None else 0.0
-            vs = x[self._idx(tr.s)] if self._idx(tr.s) is not None else 0.0
-            vgs, vds = vg - vs, vd - vs
+        for tr, di, gi, si in self.transistors:
+            vgs, vds = v[gi] - v[si], v[di] - v[si]
             i0 = drain_current(tr.params, vgs, vds, tr.temperature)
             gm = (drain_current(tr.params, vgs + h, vds, tr.temperature) - i0) / h
             gd = (drain_current(tr.params, vgs, vds + h, tr.temperature) - i0) / h
-            di, si = self._idx(tr.d), self._idx(tr.s)
-            gi = self._idx(tr.g)
-            if di is not None:
-                f[di] += i0
-            if si is not None:
-                f[si] -= i0
+            f[di] += i0
+            f[si] -= i0
             for node_i, sign in ((di, 1.0), (si, -1.0)):
-                if node_i is None:
-                    continue
-                if gi is not None:
-                    j[node_i, gi] += sign * gm
-                if di is not None:
-                    j[node_i, di] += sign * gd
-                if si is not None:
-                    j[node_i, si] += sign * (-gm - gd)
-        return f, j
+                j[node_i, gi] += sign * gm
+                j[node_i, di] += sign * gd
+                j[node_i, si] += sign * (-gm - gd)
+        return f[:-1], j[:-1, :-1]
 
-    def newton(self, x_prev, t, dt, abstol, max_iter=60, source_scale=1.0):
+    def newton(self, x_prev, t, dt, source_scale=1.0):
         """Solve the BE step equations; dt=None means a DC solve.
 
         Per-iteration updates are clamped to 0.3 V so the exponential
@@ -221,7 +203,7 @@ class _Mna:
         x = x_prev.copy()
         c_over_dt = self.c_mat / dt if dt is not None else None
         s = self.source_vector(t, source_scale)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             f_nl, j_nl = self._device_stamps(x)
             resid = self.g_static @ x + f_nl - s
             jac = self.g_static + j_nl
@@ -233,25 +215,24 @@ class _Mna:
             except np.linalg.LinAlgError:
                 raise NetlistError("singular MNA matrix") from None
             x = x + np.clip(delta, -0.3, 0.3)
-            if np.max(np.abs(delta)) < abstol:
+            if np.max(np.abs(delta)) < ABSTOL:
                 return x
         return None
 
-    def dc_operating_point(self, abstol):
+    def dc_operating_point(self):
         x = np.zeros(self.n)
-        sol = self.newton(x, 0.0, None, abstol)
+        sol = self.newton(x, 0.0, None)
         if sol is not None:
             return sol
         for scale in np.linspace(0.1, 1.0, 10):
-            nxt = self.newton(x, 0.0, None, abstol, source_scale=float(scale))
+            nxt = self.newton(x, 0.0, None, source_scale=float(scale))
             if nxt is None:
                 raise TransientFailureError("DC operating point did not converge", time=0.0)
             x = nxt
         return x
 
 
-def transient(netlist: Netlist, tstop: float, dt: float,
-              abstol: float = 1e-6) -> dict[str, Waveform]:
+def transient(netlist: Netlist, tstop: float, dt: float) -> dict[str, Waveform]:
     """Backward Euler transient; deterministic for fixed inputs.
 
     Steps that fail Newton are retried at halved dt down to dt/64, then
@@ -261,7 +242,7 @@ def transient(netlist: Netlist, tstop: float, dt: float,
     if not dt > 0 or not tstop > 0:
         raise ConfigurationError("tstop and dt must be positive")
     mna = _Mna(netlist)
-    x = mna.dc_operating_point(abstol)
+    x = mna.dc_operating_point()
     times = [0.0]
     states = [x]
 
@@ -269,7 +250,7 @@ def transient(netlist: Netlist, tstop: float, dt: float,
     n_steps = int(round(tstop / dt))
     for k in range(1, n_steps + 1):
         t_next = k * dt
-        x, sub = _advance(mna, x, t, t_next, dt, abstol)
+        x, sub = _advance(mna, x, t, t_next, dt)
         for ts, xs in sub:
             times.append(ts)
             states.append(xs)
@@ -277,22 +258,22 @@ def transient(netlist: Netlist, tstop: float, dt: float,
 
     arr = np.array(states)
     t_arr = np.array(times)
-    out = {netlist.ground: Waveform(t_arr, np.zeros(len(t_arr)))}
+    out = {GROUND: Waveform(t_arr, np.zeros(len(t_arr)))}
     for name, i in mna.node_index.items():
         out[name] = Waveform(t_arr, arr[:, i])
     return out
 
 
-def _advance(mna, x, t0, t1, dt, abstol, depth=0):
-    sol = mna.newton(x, t1, t1 - t0, abstol)
+def _advance(mna, x, t0, t1, dt, depth=0):
+    sol = mna.newton(x, t1, t1 - t0)
     if sol is not None:
         return sol, [(t1, sol)]
     if depth >= 6:
         raise TransientFailureError(
             f"Newton failed at t={t1:.3e} s even at dt/64", time=t1)
     tm = 0.5 * (t0 + t1)
-    xa, sub_a = _advance(mna, x, t0, tm, dt, abstol, depth + 1)
-    xb, sub_b = _advance(mna, xa, tm, t1, dt, abstol, depth + 1)
+    xa, sub_a = _advance(mna, x, t0, tm, dt, depth + 1)
+    xb, sub_b = _advance(mna, xa, tm, t1, dt, depth + 1)
     return xb, sub_a + sub_b
 
 
@@ -345,6 +326,15 @@ class Stimulus:
     edge_ps: float = 1.0
     period_ps: float = 20.0
     dt_fs: float = 5.0
+
+    def __post_init__(self):
+        if not self.dt_fs > 0:
+            raise ConfigurationError(f"dt_fs must be positive, got {self.dt_fs}")
+        times = [t for t, _ in self.pwl(1.0)]
+        if not all(b > a for a, b in zip(times, times[1:])):
+            raise ConfigurationError(
+                f"edge_ps = {self.edge_ps} does not fit period_ps = {self.period_ps}: "
+                "it must be positive and below 0.4 period_ps")
 
     def pwl(self, vdd: float):
         ps = 1e-12
@@ -439,12 +429,11 @@ class InverterResult:
 def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams,
                         vdd: float = 0.75, parasitic_netlist: Netlist | None = None,
                         load_c: float = 1e-16, stimulus: Stimulus = Stimulus(),
-                        t_n: float = 300.0, t_p: float = 300.0,
-                        abstol: float = 1e-6) -> InverterResult:
+                        t_n: float = 300.0, t_p: float = 300.0) -> InverterResult:
     """Propagation delay with and without the spliced parasitic network."""
     base = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
                                   None, t_n, t_p)
-    waves_base = transient(base, stimulus.tstop, stimulus.dt, abstol)
+    waves_base = transient(base, stimulus.tstop, stimulus.dt)
     tp_base = propagation_delay(waves_base["Input"], waves_base["Output"], vdd)
 
     if parasitic_netlist is None or not parasitic_netlist.elements:
@@ -452,7 +441,7 @@ def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams
 
     spliced = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
                                      parasitic_netlist, t_n, t_p)
-    waves_para = transient(spliced, stimulus.tstop, stimulus.dt, abstol)
+    waves_para = transient(spliced, stimulus.tstop, stimulus.dt)
     tp_para = propagation_delay(waves_para["Input"], waves_para["Output"], vdd)
     return InverterResult(tp_base, tp_para, waves_base, waves_para)
 

@@ -37,12 +37,9 @@ def _design_stack(config: RunConfig, design: str):
     stack = config.stack
     if stack.tier_count != tier_count:
         # promote or demote the configured stack, keeping its gap choices
-        promoted = geometry.default_stack(
+        stack = geometry.default_stack(
             tier_count, tier_gap=stack.tiers[1].gap_below,
             standoff=stack.tiers[0].gap_below,
-            substrate_thickness=stack.substrate_thickness)
-        stack = geometry.StackConfig(
-            tier_count=tier_count, tiers=promoted.tiers,
             substrate_thickness=stack.substrate_thickness,
             inter_tier_dielectric=stack.inter_tier_dielectric)
     return stack, variant
@@ -81,13 +78,13 @@ def cmd_thermal(args) -> int:
         tier = int(tier_s)
     except ValueError:
         raise ConfigurationError(f"--device must look like 0:p, got {args.device!r}")
-    design = "2tier" if config.stack.tier_count == 2 else (
-        "4tier-top" if tier >= 2 else "4tier-bottom")
-    grid, stack, _, _ = build_inverter_grid(config, design)
-    if tier >= stack.tier_count or stack.tiers[tier].polarity != pol:
+    tiers = config.stack.tiers  # the design below keeps the configured stack
+    polarity = tiers[tier].polarity if 0 <= tier < len(tiers) else None
+    if polarity != pol:
         raise ConfigurationError(
-            f"--device {args.device}: tier {tier} is "
-            f"{stack.tiers[tier].polarity if tier < stack.tier_count else 'absent'}")
+            f"--device {args.device}: tier {tier} is {polarity or 'absent'}")
+    design = "2tier" if len(tiers) == 2 else ("4tier-top" if tier >= 2 else "4tier-bottom")
+    grid = build_inverter_grid(config, design)[0]
 
     ctx = _she_context(config, grid, tier)
     power_key = config.thermal["power"]
@@ -162,10 +159,10 @@ def cmd_compare(args) -> int:
 
 def cmd_delay(args) -> int:
     config = load_config(args.config)
+    stim = config.stimulus()
     nparams, _ = calibrated_params(config, "n")
     pparams, _ = calibrated_params(config, "p")
     vdd = config.device.vdd
-    stim = config.stimulus()
     load_c = config.experiment["load_c"]
 
     para = None

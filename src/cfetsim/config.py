@@ -50,7 +50,9 @@ def parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse {text!r} as a boolean")
 
 
-# key -> (unit-or-type, default); defaults of None mean "derived elsewhere"
+# key -> (unit-or-type, default); defaults of None mean "derived elsewhere".
+# The [device], [stack] and [beol] keys are the keyword arguments of
+# DeviceSpec, default_stack and BeolSpec.
 _SCHEMA = {
     "device": {
         "gate_length": ("nm", 15.0),
@@ -127,7 +129,6 @@ _SCHEMA = {
         "period_ps": ("none", 20.0),
         "dt_fs": ("none", 5.0),
         "parasitic_floor": ("none", 1e-21),
-        "parasitic_netlist": ("path", None),
     },
 }
 
@@ -170,7 +171,7 @@ def _coerce(section, key, unit, raw):
             raise ConfigurationError(f"[{section}] {key}: expected integer") from None
     if unit == "bool":
         return parse_bool(raw)
-    if unit in ("str", "path"):
+    if unit == "str":
         return raw.strip()
     return parse_value(raw, unit)
 
@@ -210,44 +211,11 @@ def load_config(path) -> RunConfig:
             unit, _ = _SCHEMA[section][key]
             values[section][key] = _coerce(section, key, unit, raw)
 
-    exp = values["experiment"]
-    if exp["parasitic_netlist"] is not None:
-        ref = exp["parasitic_netlist"]
-        resolved = ref if os.path.isabs(ref) else os.path.join(os.path.dirname(path), ref)
-        if not os.path.exists(resolved):
-            raise ConfigurationError(f"referenced file {ref!r} does not exist")
-        exp["parasitic_netlist"] = resolved
-
-    dev = values["device"]
-    device = DeviceSpec(
-        gate_length=dev["gate_length"], sheet_width=dev["sheet_width"],
-        sheet_thickness=dev["sheet_thickness"], eot=dev["eot"],
-        spacer_thickness=dev["spacer_thickness"], channel_doping=dev["channel_doping"],
-        sd_doping=dev["sd_doping"], vdd=dev["vdd"], sd_extension=dev["sd_extension"],
-        gate_metal_thickness=dev["gate_metal_thickness"])
-
-    st = values["stack"]
-    stack = default_stack(
-        tier_count=st["tier_count"], tier_gap=st["tier_gap"], pair_gap=st["pair_gap"],
-        standoff=st["standoff"], substrate_thickness=st["substrate_thickness"],
-        order=st["order"])
-    if st["inter_tier_dielectric"] != "interlayer_dielectric":
-        stack = StackConfig(tier_count=stack.tier_count, tiers=stack.tiers,
-                            substrate_thickness=stack.substrate_thickness,
-                            inter_tier_dielectric=st["inter_tier_dielectric"])
-
-    bl = values["beol"]
-    beol = BeolSpec(
-        via_cross_section=bl["via_cross_section"],
-        metal_level_heights=(bl["metal_thickness"],),
-        mol_standoff=bl["mol_standoff"], buried_power_rail=bl["buried_power_rail"],
-        bpr_depth=bl["bpr_depth"], bpr_thickness=bl["bpr_thickness"],
-        conductor_material=bl["conductor_material"], margin=bl["margin"])
-
     return RunConfig(
-        device=device, stack=stack, beol=beol,
+        device=DeviceSpec(**values["device"]), stack=default_stack(**values["stack"]),
+        beol=BeolSpec(**values["beol"]),
         mesh_resolution=values["mesh"]["resolution"], mesh_refinement=refinement,
-        thermal=values["thermal"], she=values["she"], experiment=exp,
+        thermal=values["thermal"], she=values["she"], experiment=values["experiment"],
         material_overrides=overrides)
 
 

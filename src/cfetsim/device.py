@@ -51,6 +51,8 @@ T_REF = 300.0  # K
 # strong-inversion branch so the threshold stage decouples from the floor
 I_CRIT = 5e-6  # A
 
+MAX_SWEEPS = 14  # coordinate sweeps of calibrate()
+
 
 @dataclass(frozen=True)
 class CompactModelParams:
@@ -207,8 +209,7 @@ def _stage_root(name, f, lo, hi, log=False):
     return 10.0 ** x if log else float(x)
 
 
-def calibrate(targets: dict[str, float], seed: CompactModelParams,
-              max_sweeps: int = 14) -> CompactModelParams:
+def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactModelParams:
     """Staged coordinate fit: vth0, then n_ss, then i0, then vsat0.
 
     Each stage is a 1D root find against its measured quantity. The stages
@@ -224,7 +225,7 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams,
     vdd = targets["vdd"]
     p = seed
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         p = replace(p, vth0=_stage_root(
             "vth", lambda v: threshold_voltage(replace(p, vth0=v), vdd) - targets["vth"],
             targets["vth"] - 0.6, targets["vth"] + 0.6))
@@ -293,8 +294,8 @@ class ThermalContext:
     solver_tol: float = 1e-8
 
     operator: ThermalOperator | None = field(default=None, init=False)
-    r_mean: float = 0.0  # K/W channel-mean rise
-    r_max: float = 0.0  # K/W peak rise
+    r_mean: float = field(default=0.0, init=False)  # K/W channel-mean rise
+    r_max: float = field(default=0.0, init=False)  # K/W peak rise
     _unit_q: np.ndarray | None = field(default=None, init=False, repr=False)
     _unit_rise: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -336,6 +337,12 @@ def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
                         ctx: ThermalContext, damping: float = 0.5,
                         tol_k: float = 0.01, max_iter: int = 100) -> OperatingPoint:
     """Damped fixed point between drain current and channel temperature."""
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0 < damping <= 1:
+        raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
+    if not tol_k > 0:
+        raise ConfigurationError(f"tol_k must be positive, got {tol_k}")
     ctx.prepare()
     ambient = ctx.bc.ambient
     i_iso = abs(drain_current(p, vgs, vds, T_REF))

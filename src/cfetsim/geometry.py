@@ -25,6 +25,9 @@ from .errors import (
 
 RAIL_NAMES = ("Input", "Output", "Power", "Ground")
 
+# coarsest cell target allowed, as a multiple of a region's thinnest extent
+MAX_ASPECT = 50.0
+
 # Faces are checked with 6-connectivity throughout.
 _FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
 
@@ -85,39 +88,37 @@ class TierSpec:
 
 @dataclass(frozen=True)
 class StackConfig:
-    tier_count: int = 2
-    tiers: tuple[TierSpec, ...] = ()
+    tiers: tuple[TierSpec, ...]  # bottom-up
     substrate_thickness: float = 200.0  # nm
     inter_tier_dielectric: str = "interlayer_dielectric"
 
     def __post_init__(self):
         if self.tier_count not in (2, 4):
             raise ConfigurationError(f"tier_count must be 2 or 4, got {self.tier_count}")
-        if not self.tiers:
-            object.__setattr__(self, "tiers", _default_tiers(self.tier_count))
-        if len(self.tiers) != self.tier_count:
-            raise ConfigurationError("tiers list length must equal tier_count")
         if not self.substrate_thickness > 0:
             raise ConfigurationError("substrate_thickness must be positive")
 
-
-def _default_tiers(tier_count, tier_gap=10.0, pair_gap=None, standoff=20.0):
-    pair_gap = tier_gap if pair_gap is None else pair_gap
-    gaps = [standoff] + [pair_gap if i == 2 else tier_gap for i in range(1, tier_count)]
-    polarity = ("p", "n", "p", "n")[:tier_count]
-    return tuple(TierSpec(pol, gap) for pol, gap in zip(polarity, gaps))
+    @property
+    def tier_count(self) -> int:
+        return len(self.tiers)
 
 
 def default_stack(tier_count=2, tier_gap=10.0, pair_gap=None, standoff=20.0,
-                  substrate_thickness=200.0, order=None) -> StackConfig:
-    """Stack with p below n per pair, tiers bottom-up."""
-    tiers = _default_tiers(tier_count, tier_gap, pair_gap, standoff)
-    if order is not None:
-        if len(order) != tier_count or any(c not in "np" for c in order):
-            raise ConfigurationError(f"order must be {tier_count} chars of n/p, got {order!r}")
-        tiers = tuple(TierSpec(c, t.gap_below) for c, t in zip(order, tiers))
-    return StackConfig(tier_count=tier_count, tiers=tiers,
-                       substrate_thickness=substrate_thickness)
+                  substrate_thickness=200.0, inter_tier_dielectric="interlayer_dielectric",
+                  order=None) -> StackConfig:
+    """Stack with p below n per pair, tiers bottom-up, unless `order` is given.
+
+    `pair_gap` (default `tier_gap`) separates the two pairs of a 4-tier stack.
+    """
+    if tier_count not in (2, 4):
+        raise ConfigurationError(f"tier_count must be 2 or 4, got {tier_count}")
+    order = "pnpn"[:tier_count] if order is None else order
+    if len(order) != tier_count or any(c not in "np" for c in order):
+        raise ConfigurationError(f"order must be {tier_count} chars of n/p, got {order!r}")
+    pair_gap = tier_gap if pair_gap is None else pair_gap
+    gaps = [standoff] + [pair_gap if i == 2 else tier_gap for i in range(1, tier_count)]
+    return StackConfig(tuple(TierSpec(c, gap) for c, gap in zip(order, gaps)),
+                       substrate_thickness, inter_tier_dielectric)
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ class BeolSpec:
     """Interconnect stack: signal rails on top metal, power rails buried or on top."""
 
     via_cross_section: float = 36.0  # nm^2, square vias
-    metal_level_heights: tuple[float, ...] = (20.0,)
+    metal_thickness: float = 20.0  # nm, the first metal level
     mol_standoff: float = 10.0  # nm between stack top and first metal level
     buried_power_rail: bool = True
     bpr_depth: float = 10.0  # nm below the substrate surface to the rail top
@@ -133,13 +134,11 @@ class BeolSpec:
     conductor_material: str = "interconnect_metal"
     margin: float = 20.0  # dielectric guard around the cell
 
-    rail_names = RAIL_NAMES
-
     def __post_init__(self):
         if not self.via_cross_section > 0:
             raise ConfigurationError("via_cross_section must be positive")
-        if not self.metal_level_heights or any(h <= 0 for h in self.metal_level_heights):
-            raise ConfigurationError("metal_level_heights must be positive")
+        if not self.metal_thickness > 0:
+            raise ConfigurationError("metal_thickness must be positive")
 
     @property
     def via_side(self) -> float:
@@ -156,10 +155,6 @@ class Region:
         for lo, hi in self.box:
             if not hi > lo:
                 raise GeometryError(f"degenerate box {self.box} in region {self.label or self.material}")
-
-    @property
-    def volume(self) -> float:
-        return math.prod(hi - lo for lo, hi in self.box)
 
     def thinnest_extent(self) -> float:
         return min(hi - lo for lo, hi in self.box)
@@ -308,7 +303,7 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
 
     stack_top = frames[-1].shell_z1
     m1_z0 = stack_top + beol.mol_standoff
-    m1_z1 = m1_z0 + beol.metal_level_heights[0]
+    m1_z1 = m1_z0 + beol.metal_thickness
 
     # grow the fill so rails can land on the domain boundary
     top = m1_z1 + beol.margin
@@ -499,8 +494,7 @@ def _axis_edges(regions, axis, resolution, refinement):
 
 
 def voxelize(regions: list[Region], resolution: float,
-             refinement: dict[str, float] | None = None,
-             max_aspect: float = 50.0) -> VoxelGrid:
+             refinement: dict[str, float] | None = None) -> VoxelGrid:
     """Rasterize regions onto a boundary-aligned grid, last writer wins.
 
     Coordinate lines are inserted at every region boundary, so no cell
@@ -520,7 +514,7 @@ def voxelize(regions: list[Region], resolution: float,
         key = r.label if r.label in refinement else r.material
         target = min(resolution, refinement.get(key, resolution))
         thin = r.thinnest_extent()
-        if target > max_aspect * thin:
+        if target > MAX_ASPECT * thin:
             raise RefinementError(
                 f"resolution {target} nm too coarse for region "
                 f"{r.label or r.material} ({thin} nm thin)")

@@ -232,11 +232,9 @@ DEFAULT_PAIRS = (("Ground", "NSource"), ("PSource", "Power"),
 
 
 def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
-                       pairs=DEFAULT_PAIRS,
-                       terminals: dict[str, list[Face]] | None = None) -> ResistanceReport:
+                       pairs=DEFAULT_PAIRS, *,
+                       terminals: dict[str, list[Face]]) -> ResistanceReport:
     """Terminal-pair resistances solved inside each conductor volume."""
-    if terminals is None:
-        raise ConnectivityError("terminal face sets are required")
     label_flat = grid.label.ravel()
     entries = []
     for a, b in pairs:
@@ -290,11 +288,8 @@ def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
 
 
 def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,
-               node_map: dict[str, str] | None = None,
                floor: float = 1e-21) -> tuple[Netlist, list[tuple[str, float]]]:
     """Two-terminal elements from the extraction, couplings below floor pruned."""
-    node_map = node_map or {}
-    rename = lambda n: node_map.get(n, n)
     elements = []
     pruned = []
     names_seen = set()
@@ -306,10 +301,10 @@ def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,
             if value < floor:
                 pruned.append((name, value))
                 continue
-            elements.append(Capacitor(name, rename(a), rename(b), value))
+            elements.append(Capacitor(name, a, b, value))
     for e in rreport.entries:
         name = f"R_{e.node_a}_{e.node_b}"
-        elements.append(Resistor(name, rename(e.node_a), rename(e.node_b), e.r))
+        elements.append(Resistor(name, e.node_a, e.node_b, e.r))
     elements.sort(key=lambda el: (type(el).__name__, el.name))
     for el in elements:
         if el.name in names_seen:

@@ -19,7 +19,7 @@ from cfetsim.circuit import (
     waveforms_csv,
 )
 from cfetsim.device import CompactModelParams, ThermalContext, fit_ion
-from cfetsim.errors import MeasurementError, NetlistError
+from cfetsim.errors import ConfigurationError, MeasurementError, NetlistError
 from cfetsim.thermal import default_bc
 
 VDD = 0.75
@@ -270,3 +270,20 @@ def test_spliced_netlist_separates_device_nodes(devices):
     assert "Gate" in nodes
     # rails without a parasitic resistor stay merged with the device node
     assert "Drain" not in nodes
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"edge_ps": 0.0}, "edge_ps"), ({"edge_ps": -1.0}, "edge_ps"),
+    ({"edge_ps": 8.0, "period_ps": 20.0}, "edge_ps"),
+    ({"edge_ps": 15.0, "period_ps": 20.0}, "edge_ps"),
+    ({"edge_ps": 1.0, "period_ps": 0.0}, "edge_ps"),
+    ({"dt_fs": 0.0}, "dt_fs"), ({"dt_fs": -5.0}, "dt_fs"),
+])
+def test_stimulus_rejects_non_increasing_pwl(kwargs, key):
+    with pytest.raises(ConfigurationError, match=key):
+        Stimulus(**kwargs)
+
+
+def test_stimulus_accepts_edge_just_inside_the_phase():
+    times = [t for t, _ in Stimulus(edge_ps=7.9, period_ps=20.0).pwl(VDD)]
+    assert all(b > a for a, b in zip(times, times[1:]))

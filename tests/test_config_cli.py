@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.sparse import linalg as spla
 
-from cfetsim import cli, device, fv, output, thermal
+from cfetsim import circuit, cli, device, fv, output, thermal
 from cfetsim.config import load_config, parse_value
+from cfetsim.geometry import DeviceSpec, TierSpec, build_inverter_cell
 from cfetsim.errors import ConfigurationError
 
 BASE_CONFIG = """
@@ -105,6 +106,13 @@ def test_load_config_missing_referenced_file(tmp_path):
                         BASE_CONFIG + "\n[experiment]\nparasitic_netlist = gone.sp\n")
     with pytest.raises(ConfigurationError):
         load_config(path)
+
+
+def test_load_config_parasitic_netlist_key_is_unknown(tmp_path):
+    (tmp_path / "para.sp").write_text("R_Input_Gate Input Gate 1.0\n")
+    text = BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nparasitic_netlist = para.sp")
+    with pytest.raises(ConfigurationError, match="unknown key 'parasitic_netlist'"):
+        load_config(write_config(tmp_path, text))
 
 
 def test_help_exits_zero(capsys):
@@ -438,3 +446,114 @@ def test_cmd_thermal_four_tier_top_hotter(tmp_path):
     bottom = dtmax("0:p", tmp_path / "bot")
     top = dtmax("2:p", tmp_path / "top")
     assert top > bottom > 0.0
+
+
+ALL_SPEC_KEYS = """
+[device]
+gate_length = 17nm
+sheet_width = 18nm
+sheet_thickness = 7nm
+eot = 1.1nm
+spacer_thickness = 6nm
+channel_doping = 2e15
+sd_doping = 3e20
+vdd = 0.8V
+sd_extension = 11nm
+gate_metal_thickness = 4nm
+
+[stack]
+tier_count = 4
+tier_gap = 7nm
+pair_gap = 13nm
+standoff = 25nm
+substrate_thickness = 150nm
+inter_tier_dielectric = sio2
+order = npnp
+
+[beol]
+via_cross_section = 25
+metal_thickness = 22nm
+mol_standoff = 12nm
+buried_power_rail = false
+bpr_depth = 8nm
+bpr_thickness = 18nm
+conductor_material = gate_metal
+margin = 15nm
+"""
+
+
+def test_load_config_every_spec_key_reaches_its_field(tmp_path):
+    config = load_config(write_config(tmp_path, ALL_SPEC_KEYS))
+    assert config.device == DeviceSpec(
+        gate_length=17.0, sheet_width=18.0, sheet_thickness=7.0, eot=1.1,
+        spacer_thickness=6.0, channel_doping=2e15, sd_doping=3e20, vdd=0.8,
+        sd_extension=11.0, gate_metal_thickness=4.0)
+
+    stack = config.stack
+    assert stack.tier_count == 4
+    assert stack.tiers == (TierSpec("n", 25.0), TierSpec("p", 7.0),
+                           TierSpec("n", 13.0), TierSpec("p", 7.0))
+    assert stack.substrate_thickness == 150.0
+    assert stack.inter_tier_dielectric == "sio2"
+
+    beol = config.beol
+    assert (beol.via_cross_section, beol.mol_standoff, beol.buried_power_rail,
+            beol.bpr_depth, beol.bpr_thickness, beol.conductor_material, beol.margin) == (
+        25.0, 12.0, False, 8.0, 18.0, "gate_metal", 15.0)
+    # the first metal level, seen where the Input rail runs along y
+    regions = build_inverter_cell(config.device, stack, beol)
+    stack_top = max(r.box[2][1] for r in regions if (r.label or "").endswith(".gate"))
+    (rail_z0, rail_z1), = {r.box[2] for r in regions
+                           if r.label == "Input" and r.box[1][1] == regions[0].box[1][1]}
+    assert rail_z0 == pytest.approx(stack_top + 12.0)
+    assert rail_z1 - rail_z0 == pytest.approx(22.0)
+
+
+def test_design_stack_promotion_keeps_configured_stack(tmp_path):
+    text = BASE_CONFIG.replace("substrate_thickness = 60nm", (
+        "substrate_thickness = 150nm\ntier_gap = 7nm\nstandoff = 25nm\n"
+        "inter_tier_dielectric = sio2\norder = np"))
+    config = load_config(write_config(tmp_path, text))
+    assert [t.polarity for t in config.stack.tiers] == ["n", "p"]
+    stack, variant = cli._design_stack(config, "4tier-top")
+    assert variant == "top"
+    assert stack.tier_count == 4
+    assert stack.inter_tier_dielectric == "sio2"
+    assert stack.substrate_thickness == 150.0
+    assert [t.gap_below for t in stack.tiers] == [25.0, 7.0, 7.0, 7.0]
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("max_iter = 0", "max_iter"), ("damping = 0", "damping"),
+    ("damping = 1.5", "damping"), ("tol_k = 0", "tol_k"),
+])
+def test_cmd_delay_she_rejects_bad_loop_settings(tmp_path, capsys, setting, key):
+    path = write_config(tmp_path, BASE_CONFIG + f"\n[she]\n{setting}\n")
+    rc = cli.main(["delay", path, "--design", "2tier", "--parasitics", "off",
+                   "--she", "on", "--out", str(tmp_path / "she")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = circuit.transient
+    monkeypatch.setattr(circuit, "transient",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    text = BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nedge_ps = 15\nperiod_ps = 20")
+    path = write_config(tmp_path, text)
+    rc = cli.main(["delay", path, "--design", "2tier", "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert "edge_ps" in capsys.readouterr().err
+    assert not calls
+
+
+def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch, capsys):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for a bad --device")
+
+    monkeypatch.setattr(cli, "build_inverter_grid", no_grid)
+    path = write_config(tmp_path)
+    rc = cli.main(["thermal", path, "--device=-1:n", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "--device -1:n: tier -1 is absent" in capsys.readouterr().err
