@@ -450,28 +450,21 @@ def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams
 class SheDelayResult:
     result: InverterResult
     delta_t: dict[str, float]
-    t_channel: dict[str, float]
 
 
 def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float = 0.75,
                           parasitic_netlist=None, load_c: float = 1e-16,
-                          stimulus: Stimulus = Stimulus(), damping: float = 0.5,
-                          tol_k: float = 0.01, max_iter: int = 100) -> SheDelayResult:
+                          stimulus: Stimulus = Stimulus(), **loop) -> SheDelayResult:
     """Delays at self-heated channel temperatures (worst-case on-state bias).
 
-    `damping`, `tol_k` and `max_iter` steer both fixed-point loops, as in
-    `she_operating_point`.
+    `loop` (`damping`, `tol_k`, `max_iter`) steers both fixed-point loops,
+    as in `she_operating_point`.
     """
-    loop = {"damping": damping, "tol_k": tol_k, "max_iter": max_iter}
     op_n = she_operating_point(nparams, vdd, vdd, ctx_n, **loop)
     op_p = she_operating_point(pparams, -vdd, -vdd, ctx_p, **loop)
     res = inverter_experiment(nparams, pparams, vdd, parasitic_netlist, load_c,
                               stimulus, t_n=op_n.t_channel, t_p=op_p.t_channel)
-    return SheDelayResult(
-        result=res,
-        delta_t={"n": op_n.delta_t, "p": op_p.delta_t},
-        t_channel={"n": op_n.t_channel, "p": op_p.t_channel},
-    )
+    return SheDelayResult(res, {"n": op_n.delta_t, "p": op_p.delta_t})
 
 
 def waveforms_csv(waves: dict[str, Waveform]) -> str:

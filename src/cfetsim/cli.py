@@ -121,20 +121,23 @@ def cmd_thermal(args) -> int:
     return 0
 
 
-def extract_design(config: RunConfig, design: str):
-    grid, stack, wired, regions = build_inverter_grid(config, design)
+def extract_design(config: RunConfig, built):
+    """Capacitance, resistance and the pruned netlist of a `build_inverter_grid` result."""
+    grid, _, wired, _ = built
     lib = config.library()
     cmat = parasitics.extract_capacitance(grid, lib, list(geometry.RAIL_NAMES))
     terms = parasitics.inverter_terminals(grid, wired)
     rrep = parasitics.extract_resistance(grid, lib, terminals=terms)
     nl, pruned = parasitics.to_netlist(cmat, rrep,
                                        floor=config.experiment["parasitic_floor"])
-    return grid, regions, cmat, rrep, nl, pruned
+    return cmat, rrep, nl, pruned
 
 
 def cmd_extract(args) -> int:
     config = load_config(args.config)
-    grid, regions, cmat, rrep, nl, pruned = extract_design(config, args.design)
+    built = build_inverter_grid(config, args.design)
+    grid, _, _, regions = built
+    cmat, rrep, nl, pruned = extract_design(config, built)
     atomic_write(os.path.join(args.out, "netlist.sp"),
                  netlist_io.format_netlist(nl, title=f"design: {args.design}"))
     atomic_write(os.path.join(args.out, "geometry.csv"), geometry.regions_csv(regions))
@@ -165,9 +168,12 @@ def cmd_delay(args) -> int:
     vdd = config.device.vdd
     load_c = config.experiment["load_c"]
 
+    built = None
+    if args.parasitics == "on" or args.she == "on":
+        built = build_inverter_grid(config, args.design)
     para = None
     if args.parasitics == "on":
-        para = extract_design(config, args.design)[4]
+        para = extract_design(config, built)[2]
     elif args.parasitics != "off":
         para = netlist_io.read_netlist(args.parasitics)
 
@@ -176,8 +182,7 @@ def cmd_delay(args) -> int:
     lines = [f"design={args.design}", f"parasitics={para_tag}",
              f"she={args.she}"]
     if args.she == "on":
-        grid, stack, wired, _ = build_inverter_grid(config, args.design)
-        p_tier, n_tier = wired
+        grid, _, (p_tier, n_tier), _ = built
         ctx_n = _she_context(config, grid, n_tier).prepare()
         ctx_p = _she_context(config, grid, p_tier)
         ctx_p.operator = ctx_n.operator  # one grid, one heat operator

@@ -10,11 +10,11 @@ Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field
 
 from . import materials as mat_mod
 from .circuit import Stimulus
+from .device import CompactModelParams, check_she_settings
 from .errors import ConfigurationError
 from .geometry import BeolSpec, DeviceSpec, StackConfig, default_stack
 from .thermal import ThermalBC, default_bc
@@ -177,14 +177,14 @@ def _coerce(section, key, unit, raw):
 
 
 def load_config(path) -> RunConfig:
-    if not os.path.exists(path):
-        raise ConfigurationError(f"config file {path!r} does not exist")
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        cp.read(path)
+        found = cp.read(path)
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from None
+    if not found:  # read() skips a path it cannot open, a directory too
+        raise ConfigurationError(f"config file {path!r} does not exist or cannot be read")
 
     values = {sec: dict((k, d) for k, (_, d) in keys.items())
               for sec, keys in _SCHEMA.items()}
@@ -211,6 +211,11 @@ def load_config(path) -> RunConfig:
             unit, _ = _SCHEMA[section][key]
             values[section][key] = _coerce(section, key, unit, raw)
 
+    for key in ("load_c", "parasitic_floor"):
+        if values["experiment"][key] < 0:
+            raise ConfigurationError(
+                f"[experiment] {key} must be non-negative, got {values['experiment'][key]}")
+    check_she_settings(**values["she"])
     return RunConfig(
         device=DeviceSpec(**values["device"]), stack=default_stack(**values["stack"]),
         beol=BeolSpec(**values["beol"]),
@@ -236,9 +241,7 @@ def device_targets(config: RunConfig, polarity: str) -> dict[str, float] | None:
         f"(got {sorted(given)})")
 
 
-def seed_params(config: RunConfig, polarity: str):
-    from .device import CompactModelParams
-
+def seed_params(config: RunConfig, polarity: str) -> CompactModelParams:
     exp = config.experiment
     spec = config.device
     w_eff = 2.0 * (spec.sheet_width + spec.sheet_thickness) * 1e-9

@@ -142,32 +142,18 @@ def current_magnitude(p: CompactModelParams, vgs_mag, vds_mag, t=T_REF) -> float
     return abs(drain_current(p, _bias(p, vgs_mag), _bias(p, vds_mag), t))
 
 
-def threshold_voltage(p: CompactModelParams, vdd: float,
-                      icrit: float | None = None) -> float:
+def threshold_voltage(p: CompactModelParams, vdd: float) -> float:
     """Constant-current threshold: gate magnitude where |id| = icrit at |vds| = vdd.
 
-    The criterion defaults to I_CRIT but never exceeds a fifth of the
-    device's own on-current, so weak devices stay measurable.
+    The criterion icrit is I_CRIT but never exceeds a fifth of the device's
+    own on-current, so weak devices stay measurable.
     """
-    if icrit is None:
-        icrit = min(I_CRIT, 0.2 * current_magnitude(p, vdd, vdd))
+    icrit = min(I_CRIT, 0.2 * current_magnitude(p, vdd, vdd))
     lo, hi = -1.0, vdd + 2.0
     f = lambda v: current_magnitude(p, v, vdd) - icrit
     if f(lo) > 0 or f(hi) < 0:
         raise CalibrationError("threshold criterion outside sweep range", stage="vth")
     return float(brentq(f, lo, hi, xtol=1e-9))
-
-
-def fit_ion(p: CompactModelParams, ion: float, vdd: float) -> CompactModelParams:
-    """Tune the velocity-saturation knob alone to hit an on-current."""
-    if not ion > 0:
-        raise CalibrationError("ion target must be positive", stage="ion")
-    f = lambda v: math.log(current_magnitude(replace(p, vsat0=v), vdd, vdd) / ion)
-    vsat0 = _stage_root("ion", f, 1e2, 1e8, log=True)
-    fitted = replace(p, vsat0=vsat0)
-    if abs(current_magnitude(fitted, vdd, vdd) / ion - 1.0) > 1e-2:
-        raise CalibrationError("ion target unreachable via vsat0", stage="ion")
-    return fitted
 
 
 def subthreshold_swing(p: CompactModelParams, vdd: float) -> float:
@@ -178,26 +164,36 @@ def subthreshold_swing(p: CompactModelParams, vdd: float) -> float:
     return 1e3 * (v2 - v1) / math.log10(i2 / i1)
 
 
-def extract_targets(p: CompactModelParams, vdd: float) -> dict[str, float]:
-    """Calibration targets as measured from the model itself."""
-    return {
-        "vth": threshold_voltage(p, vdd),
-        "ss": subthreshold_swing(p, vdd),
-        "ioff": current_magnitude(p, 0.0, vdd),
-        "ion": current_magnitude(p, vdd, vdd),
-        "vdd": vdd,
-    }
+# Calibration stages in run order: target -> (fitted parameter, measurement
+# at vdd, parameter bracket for a target, log scale). A log stage zeroes the
+# log ratio of measurement and target, the others their difference.
+_STAGES = {
+    "vth": ("vth0", threshold_voltage, lambda t: (t - 0.6, t + 0.6), False),
+    "ss": ("n_ss", subthreshold_swing, lambda t: (1.0, 4.0), False),
+    "ioff": ("i0", lambda p, vdd: current_magnitude(p, 0.0, vdd),
+             lambda t: (1e-18, 1e-2), True),
+    "ion": ("vsat0", lambda p, vdd: current_magnitude(p, vdd, vdd),
+            lambda t: (1e2, 1e8), True),
+}
 
 
-def _stage_root(name, f, lo, hi, log=False):
-    """1D root of f on [lo, hi]; clamps to the closer end when no sign change.
+def _fit_stage(p: CompactModelParams, name: str, target: float,
+               vdd: float) -> CompactModelParams:
+    """Refit one stage's parameter by a 1D root find in its bracket.
 
-    A clamped stage is not an error by itself: earlier stages re-run in the
-    next coordinate sweep and usually pull the root back into the bracket.
-    The final residual check in calibrate() raises if it never does.
+    With no sign change it clamps to the closer end. That is not an error by
+    itself: earlier stages re-run in the next coordinate sweep and usually
+    pull the root back into the bracket. calibrate() raises if they never do.
     """
+    param, measure, bracket, log = _STAGES[name]
+
+    def residual(v):
+        got = measure(replace(p, **{param: v}), vdd)
+        return math.log(got / target) if log else got - target
+
+    lo, hi = bracket(target)
     a, b = (math.log10(lo), math.log10(hi)) if log else (lo, hi)
-    g = (lambda x: f(10.0 ** x)) if log else f
+    g = (lambda x: residual(10.0 ** x)) if log else residual
     try:
         fa, fb = g(a), g(b)
     except (OverflowError, ValueError) as exc:
@@ -206,7 +202,22 @@ def _stage_root(name, f, lo, hi, log=False):
         x = a if abs(fa) <= abs(fb) else b
     else:
         x = brentq(g, a, b, xtol=1e-12, rtol=1e-12)
-    return 10.0 ** x if log else float(x)
+    return replace(p, **{param: 10.0 ** x if log else float(x)})
+
+
+def fit_ion(p: CompactModelParams, ion: float, vdd: float) -> CompactModelParams:
+    """Tune the velocity-saturation knob alone to hit an on-current."""
+    if not ion > 0:
+        raise CalibrationError("ion target must be positive", stage="ion")
+    fitted = _fit_stage(p, "ion", ion, vdd)
+    if abs(current_magnitude(fitted, vdd, vdd) / ion - 1.0) > 1e-2:
+        raise CalibrationError("ion target unreachable via vsat0", stage="ion")
+    return fitted
+
+
+def extract_targets(p: CompactModelParams, vdd: float) -> dict[str, float]:
+    """Calibration targets as measured from the model itself."""
+    return {**{k: measure(p, vdd) for k, (_, measure, _, _) in _STAGES.items()}, "vdd": vdd}
 
 
 def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactModelParams:
@@ -217,7 +228,7 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactMod
     every residual is far inside the 1 percent contract or raises naming
     the stage that cannot reach its target.
     """
-    for key in ("vth", "ss", "ioff", "ion", "vdd"):
+    for key in (*_STAGES, "vdd"):
         if key not in targets:
             raise CalibrationError(f"missing target {key!r}")
     if not targets["ion"] > targets["ioff"] > 0:
@@ -226,20 +237,8 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactMod
     p = seed
 
     for _ in range(MAX_SWEEPS):
-        p = replace(p, vth0=_stage_root(
-            "vth", lambda v: threshold_voltage(replace(p, vth0=v), vdd) - targets["vth"],
-            targets["vth"] - 0.6, targets["vth"] + 0.6))
-        p = replace(p, n_ss=_stage_root(
-            "ss", lambda v: subthreshold_swing(replace(p, n_ss=v), vdd) - targets["ss"],
-            1.0, 4.0))
-        p = replace(p, i0=_stage_root(
-            "ioff",
-            lambda v: math.log(current_magnitude(replace(p, i0=v), 0.0, vdd) / targets["ioff"]),
-            1e-18, 1e-2, log=True))
-        p = replace(p, vsat0=_stage_root(
-            "ion",
-            lambda v: math.log(current_magnitude(replace(p, vsat0=v), vdd, vdd) / targets["ion"]),
-            1e2, 1e8, log=True))
+        for name in _STAGES:
+            p = _fit_stage(p, name, targets[name], vdd)
         res = calibration_residuals(p, targets)
         if all(abs(r) < 1e-5 for r in res.values()):
             break
@@ -253,21 +252,19 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactMod
 
 def calibration_residuals(p: CompactModelParams, targets: dict[str, float]) -> dict[str, float]:
     got = extract_targets(p, targets["vdd"])
-    return {k: got[k] / targets[k] - 1.0 for k in ("vth", "ss", "ioff", "ion")}
+    return {k: got[k] / targets[k] - 1.0 for k in _STAGES}
 
 
 def calibration_report(p: CompactModelParams, targets: dict[str, float]) -> str:
     got = extract_targets(p, targets["vdd"])
     lines = ["stage target achieved residual"]
-    for k in ("vth", "ss", "ioff", "ion"):
+    for k in _STAGES:
         lines.append(f"{k} {float(targets[k])!r} {float(got[k])!r} {float(got[k] / targets[k] - 1.0)!r}")
     return "\n".join(lines) + "\n"
 
 
 @dataclass
 class OperatingPoint:
-    vgs: float
-    vds: float
     id: float  # A, magnitude
     t_channel: float  # K, volume-weighted channel mean
     delta_t: float  # K, peak rise anywhere on the grid
@@ -333,16 +330,21 @@ class ThermalContext:
         return TemperatureField(ambient + power * self._unit_rise, ambient)
 
 
-def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
-                        ctx: ThermalContext, damping: float = 0.5,
-                        tol_k: float = 0.01, max_iter: int = 100) -> OperatingPoint:
-    """Damped fixed point between drain current and channel temperature."""
+def check_she_settings(damping: float, tol_k: float, max_iter: int):
+    """Reject fixed-point settings the self-heating loop cannot run on."""
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
     if not 0 < damping <= 1:
         raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
     if not tol_k > 0:
         raise ConfigurationError(f"tol_k must be positive, got {tol_k}")
+
+
+def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
+                        ctx: ThermalContext, damping: float = 0.5,
+                        tol_k: float = 0.01, max_iter: int = 100) -> OperatingPoint:
+    """Damped fixed point between drain current and channel temperature."""
+    check_she_settings(damping, tol_k, max_iter)
     ctx.prepare()
     ambient = ctx.bc.ambient
     i_iso = abs(drain_current(p, vgs, vds, T_REF))
@@ -364,7 +366,7 @@ def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
     i_final = abs(drain_current(p, vgs, vds, t_ch))
     power = i_final * abs(vds)
     degradation = 1.0 - i_final / i_iso if i_iso > 0 else 0.0
-    return OperatingPoint(vgs=vgs, vds=vds, id=i_final, t_channel=t_ch,
+    return OperatingPoint(id=i_final, t_channel=t_ch,
                           delta_t=power * ctx.r_max, ion_degradation=degradation,
                           iterations=it, residuals=residuals)
 

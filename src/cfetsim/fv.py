@@ -47,6 +47,14 @@ def face_pairs(axis):
     return tuple(lo), tuple(hi)
 
 
+def outer_face(axis, side):
+    """Index tuple selecting the cells on the low (side 0) or high (side 1)
+    outer face normal to `axis`."""
+    face = [slice(None)] * 3
+    face[axis] = -side
+    return tuple(face)
+
+
 def face_conductances(grid, coeff: np.ndarray) -> Iterator[np.ndarray]:
     """Interior face conductances, one axis at a time, shaped like the cells
     less one along that axis."""

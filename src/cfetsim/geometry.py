@@ -28,8 +28,10 @@ RAIL_NAMES = ("Input", "Output", "Power", "Ground")
 # coarsest cell target allowed, as a multiple of a region's thinnest extent
 MAX_ASPECT = 50.0
 
+FILL_MARGIN = 15.0  # nm of dielectric fill around a bare device stack
+
 # Faces are checked with 6-connectivity throughout.
-_FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
+FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -193,14 +195,24 @@ def _tier_frames(spec: DeviceSpec, config: StackConfig) -> list[_TierFrame]:
     return frames
 
 
-def build_cfet_stack(spec: DeviceSpec, config: StackConfig,
-                     fill_margin: float = 15.0) -> list[Region]:
+def build_cfet_stack(spec: DeviceSpec, config: StackConfig) -> list[Region]:
     """Device regions for every tier plus substrate and dielectric fill.
 
     Each tier gets a silicon sheet split into source / channel / drain along
     x, a gate oxide and gate metal shell wrapping the channel, and spacers
     flanking the gate. Labels follow the pattern ``tier<i>.<part>``.
     """
+    lx = 2.0 * spec.extension + spec.gate_length
+    frames = _tier_frames(spec, config)
+    return _stack_regions(spec, config, frames, (-FILL_MARGIN, lx + FILL_MARGIN),
+                          (-FILL_MARGIN, spec.sheet_width + FILL_MARGIN),
+                          frames[-1].shell_z1 + FILL_MARGIN)
+
+
+def _stack_regions(spec: DeviceSpec, config: StackConfig, frames: list[_TierFrame],
+                   fill_x, fill_y, top) -> list[Region]:
+    """Dielectric fill over the (fill_x, fill_y) box up to `top`, the
+    substrate under it, then the regions of every tier."""
     ext = spec.extension
     lg = spec.gate_length
     lx = 2.0 * ext + lg
@@ -208,20 +220,11 @@ def build_cfet_stack(spec: DeviceSpec, config: StackConfig,
     tsp = spec.spacer_thickness
     shell1 = spec.eot
     shell2 = spec.eot + spec.gate_metal_thickness
-    frames = _tier_frames(spec, config)
-
-    top = frames[-1].shell_z1 + fill_margin
-    fill = Region(
-        _box(-fill_margin, lx + fill_margin, -fill_margin, w + fill_margin,
-             -config.substrate_thickness, top),
-        config.inter_tier_dielectric,
-    )
-    substrate = Region(
-        _box(fill.box[0][0], fill.box[0][1], fill.box[1][0], fill.box[1][1],
-             -config.substrate_thickness, 0.0),
-        "silicon_bulk",
-    )
-    regions = [fill, substrate]
+    regions = [
+        Region(_box(*fill_x, *fill_y, -config.substrate_thickness, top),
+               config.inter_tier_dielectric),
+        Region(_box(*fill_x, *fill_y, -config.substrate_thickness, 0.0), "silicon_bulk"),
+    ]
 
     prev_top = 0.0
     for f in frames:
@@ -287,7 +290,6 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
     ``variant`` selects whether the bottom or the top complementary pair is
     wired, which sets the via lengths.
     """
-    regions = build_cfet_stack(spec, config, fill_margin=beol.margin)
     frames = _tier_frames(spec, config)
     p_tier, n_tier = wired_tiers(config, variant)
     fp, fn = frames[p_tier], frames[n_tier]
@@ -305,22 +307,12 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
     m1_z0 = stack_top + beol.mol_standoff
     m1_z1 = m1_z0 + beol.metal_thickness
 
-    # grow the fill so rails can land on the domain boundary
-    top = m1_z1 + beol.margin
-    x_min = -beol.margin - 2.0 * wv
-    fill = Region(
-        _box(x_min, lx + beol.margin + 2.0 * wv, -beol.margin, w + beol.margin,
-             -config.substrate_thickness, top),
-        config.inter_tier_dielectric,
-    )
-    substrate = Region(
-        _box(fill.box[0][0], fill.box[0][1], fill.box[1][0], fill.box[1][1],
-             -config.substrate_thickness, 0.0),
-        "silicon_bulk",
-    )
-    regions[0] = fill
-    regions[1] = substrate
-    y_max = fill.box[1][1]
+    # the fill reaches past the rails, so they land on the domain boundary
+    regions = _stack_regions(
+        spec, config, frames,
+        (-beol.margin - 2.0 * wv, lx + beol.margin + 2.0 * wv),
+        (-beol.margin, w + beol.margin), m1_z1 + beol.margin)
+    (x_min, _), (y_min, y_max), _ = regions[0].box
 
     conductors: list[Region] = []
 
@@ -353,7 +345,7 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
         if beol.buried_power_rail:
             z_lo = -beol.bpr_depth - beol.bpr_thickness
             rail(name,
-                 _box(fill.box[0][0], 0.0, y0, y1, z_lo, -beol.bpr_depth),
+                 _box(x_min, 0.0, y0, y1, z_lo, -beol.bpr_depth),
                  _box(xv0, -6.0, y0, y1, -beol.bpr_depth, f.sheet_z1),
                  strap)
         else:
@@ -363,7 +355,7 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
                  _box(xv0, -6.0, ry0, ry1, m1_z0, m1_z1),
                  strap)
 
-    source_route("Power", fp, 1.0, fill.box[1][0])
+    source_route("Power", fp, 1.0, y_min)
     source_route("Ground", fn, w - 1.0 - wv, y_max)
 
     _check_routing(conductors, regions, frames, p_tier, n_tier)
@@ -561,7 +553,7 @@ def locate_conductors(grid: VoxelGrid) -> dict[str, np.ndarray]:
         mask = grid.label == code
         if not mask.any():
             continue
-        _, n_parts = ndimage.label(mask, structure=_FACE_STRUCT)
+        _, n_parts = ndimage.label(mask, structure=FACE_STRUCT)
         if n_parts != 1:
             raise IntegrityError(f"conductor {name!r} splits into {n_parts} parts")
         out[name] = np.flatnonzero(mask.ravel())
@@ -584,5 +576,5 @@ def touching_labels(grid: VoxelGrid, name_a: str, name_b: str) -> bool:
     b = grid.cells_of_label(name_b)
     if not a.any() or not b.any():
         return False
-    grown = ndimage.binary_dilation(a, structure=_FACE_STRUCT)
+    grown = ndimage.binary_dilation(a, structure=FACE_STRUCT)
     return bool((grown & b).any())

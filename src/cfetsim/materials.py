@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MaterialError
 
 ROLES = ("conductor", "dielectric", "semiconductor")
@@ -63,6 +65,13 @@ def lookup(library: dict[str, Material], name: str) -> Material:
         return library[name]
     except KeyError:
         raise MaterialError(f"material {name!r} not in library") from None
+
+
+def per_cell(grid, library: dict[str, Material], prop) -> np.ndarray:
+    """`prop(material)` of every cell of `grid`, shaped like its cell arrays."""
+    if (grid.material < 0).any():
+        raise MaterialError("grid has unassigned cells")
+    return np.array([prop(lookup(library, n)) for n in grid.material_names])[grid.material]
 
 
 def override(library: dict[str, Material], name: str, field: str, value) -> dict[str, Material]:

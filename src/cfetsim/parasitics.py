@@ -34,8 +34,8 @@ from .errors import (
     GeometryError,
     RegionNotFoundError,
 )
-from .geometry import VoxelGrid, locate_conductors
-from .materials import Material, lookup
+from .geometry import FACE_STRUCT, VoxelGrid, locate_conductors
+from .materials import Material, per_cell
 
 EPS0 = 8.8541878128e-12  # F/m
 FLOATING_METAL_EPS = 1000.0  # quasi-equipotential stand-in for unlisted metal
@@ -99,16 +99,6 @@ class ResistanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _cell_eps(grid: VoxelGrid, materials: dict[str, Material]) -> np.ndarray:
-    """Permittivity per cell in F/m; conductors in the set are excluded later."""
-    eps = np.empty(grid.dims)
-    for code, name in enumerate(grid.material_names):
-        mat = lookup(materials, name)
-        value = FLOATING_METAL_EPS if mat.role == "conductor" else mat.eps_r
-        eps[grid.material == code] = value * EPS0
-    return eps
-
-
 def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
                         conductors: list[str], tol: float = 1e-10,
                         shield: bool = False) -> CapacitanceMatrix:
@@ -129,7 +119,9 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
         cond_id[cells] = ci
     cond_id = cond_id.reshape(grid.dims)
     domain = cond_id < 0
-    eps = _cell_eps(grid, materials)
+    # F/m; the cells of the extracted conductors are excluded from the domain
+    eps = per_cell(grid, materials, lambda m: (
+        FLOATING_METAL_EPS if m.role == "conductor" else m.eps_r) * EPS0)
     idx = np.arange(grid.n_cells).reshape(grid.dims)
 
     # Dirichlet on each conductor face, column = conductor; column nrhs is
@@ -143,10 +135,9 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
             fixed.append((cells, fv.half_conductance(grid, eps, cells, axis),
                           cond_id[outer][m]))
         if shield:
-            for side in (0, -1):
-                sl = [slice(None)] * 3
-                sl[axis] = side
-                cells = idx[tuple(sl)][domain[tuple(sl)]]
+            for side in (0, 1):
+                face = fv.outer_face(axis, side)
+                cells = idx[face][domain[face]]
                 fixed.append((cells, fv.half_conductance(grid, eps, cells, axis), nrhs))
     mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs + 1)
 
@@ -179,11 +170,9 @@ def boundary_port_faces(grid: VoxelGrid, label: str) -> list[Face]:
     faces = []
     flat = np.arange(grid.n_cells).reshape(grid.dims)
     for axis in range(3):
-        for side, index in ((0, 0), (1, -1)):
-            sl = [slice(None)] * 3
-            sl[axis] = index
-            m = mask[tuple(sl)]
-            faces.extend((int(c), axis, side) for c in flat[tuple(sl)][m])
+        for side in (0, 1):
+            face = fv.outer_face(axis, side)
+            faces.extend((int(c), axis, side) for c in flat[face][mask[face]])
     return faces
 
 
@@ -196,14 +185,9 @@ def contact_faces(grid: VoxelGrid, label: str, target_labels: list[str]) -> list
     faces = []
     flat = np.arange(grid.n_cells).reshape(grid.dims)
     for axis in range(3):
-        sl_lo = [slice(None)] * 3
-        sl_hi = [slice(None)] * 3
-        sl_lo[axis] = slice(0, -1)
-        sl_hi[axis] = slice(1, None)
-        m_lo = mask[tuple(sl_lo)] & tmask[tuple(sl_hi)]
-        m_hi = mask[tuple(sl_hi)] & tmask[tuple(sl_lo)]
-        faces.extend((int(c), axis, 1) for c in flat[tuple(sl_lo)][m_lo])
-        faces.extend((int(c), axis, 0) for c in flat[tuple(sl_hi)][m_hi])
+        lo, hi = fv.face_pairs(axis)
+        faces.extend((int(c), axis, 1) for c in flat[lo][mask[lo] & tmask[hi]])
+        faces.extend((int(c), axis, 0) for c in flat[hi][mask[hi] & tmask[lo]])
     return faces
 
 
@@ -255,14 +239,11 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
 
 def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
     mask = grid.cells_of_label(label_name)
-    rho = np.empty(grid.dims)
-    for code, name in enumerate(grid.material_names):
-        mat = lookup(materials, name)
-        rho[grid.material == code] = mat.rho_e if mat.role == "conductor" else np.inf
+    rho = per_cell(grid, materials, lambda m: m.rho_e if m.role == "conductor" else np.inf)
     if not np.isfinite(rho[mask]).all():
         raise ConnectivityError(f"conductor {label_name!r} has non-metal cells")
 
-    parts, _ = ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))
+    parts, _ = ndimage.label(mask, structure=FACE_STRUCT)
     part_a = {int(parts.ravel()[c]) for c, _, _ in faces_a}
     part_b = {int(parts.ravel()[c]) for c, _, _ in faces_b}
     if part_a != part_b or len(part_a) != 1 or 0 in part_a:

@@ -15,14 +15,9 @@ import numpy as np
 from scipy import sparse
 
 from . import fv
-from .errors import (
-    ConfigurationError,
-    MaterialError,
-    RegionNotFoundError,
-    SingularSystemError,
-)
+from .errors import ConfigurationError, RegionNotFoundError, SingularSystemError
 from .geometry import VoxelGrid
-from .materials import Material, lookup
+from .materials import Material, per_cell
 from .output import atomic_write
 
 NM = 1e-9  # nm to m
@@ -98,26 +93,17 @@ class ThermalOperator:
     cell_volumes_m3: np.ndarray
 
 
-def _cell_kappa(grid: VoxelGrid, materials: dict[str, Material]) -> np.ndarray:
-    kappa_by_code = np.array([lookup(materials, n).kappa for n in grid.material_names])
-    if (grid.material < 0).any():
-        raise MaterialError("grid has unassigned cells")
-    return kappa_by_code[grid.material]
-
-
 def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> ThermalOperator:
     """Build the conduction operator A with A T = q V + B T_sink."""
-    k = _cell_kappa(grid, materials)
+    k = per_cell(grid, materials, lambda m: m.kappa)
     idx = np.arange(grid.n_cells).reshape(grid.dims)
     sinks, temps = [], []
     for j, key in enumerate(FACE_KEYS):
         face = bc.faces[key]
         if face.kind == "adiabatic":
             continue
-        axis = j // 2
-        sl = [slice(None)] * 3
-        sl[axis] = -(j % 2)  # 0 on the low face, -1 on the high face
-        cells = idx[tuple(sl)].ravel()
+        axis, side = divmod(j, 2)
+        cells = idx[fv.outer_face(axis, side)].ravel()
         r_surface = 1.0 / face.h if face.kind == "robin" else 0.0
         g = fv.half_conductance(grid, k, cells, axis, r_surface)
         sinks.append((cells, g, len(temps)))

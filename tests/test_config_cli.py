@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse import linalg as spla
 
-from cfetsim import circuit, cli, device, fv, output, thermal
+from cfetsim import circuit, cli, device, fv, output, parasitics, thermal
 from cfetsim.config import load_config, parse_value
 from cfetsim.geometry import DeviceSpec, TierSpec, build_inverter_cell
 from cfetsim.errors import ConfigurationError
@@ -72,8 +72,8 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_load_config_unknown_key(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + "\n[device]\nwibble = 3\n")
-    with pytest.raises(ConfigurationError):
+    path = write_config(tmp_path, BASE_CONFIG.replace("vdd = 0.75V", "vdd = 0.75V\nwibble = 3"))
+    with pytest.raises(ConfigurationError, match="unknown key"):
         load_config(path)
 
 
@@ -102,9 +102,9 @@ def test_load_config_mesh_refinement(tmp_path):
 
 
 def test_load_config_missing_referenced_file(tmp_path):
-    path = write_config(tmp_path,
-                        BASE_CONFIG + "\n[experiment]\nparasitic_netlist = gone.sp\n")
-    with pytest.raises(ConfigurationError):
+    path = write_config(tmp_path, BASE_CONFIG.replace(
+        "dt_fs = 10", "dt_fs = 10\nparasitic_netlist = gone.sp"))
+    with pytest.raises(ConfigurationError, match="unknown key"):
         load_config(path)
 
 
@@ -143,10 +143,18 @@ def test_bogus_design_exits_two(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_config_error_exits_two(tmp_path):
-    path = write_config(tmp_path, BASE_CONFIG + "\n[device]\nwibble = 3\n")
+def test_config_error_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, BASE_CONFIG.replace("vdd = 0.75V", "vdd = 0.75V\nwibble = 3"))
     rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def test_config_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    rc = cli.main(["calibrate", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "cannot be read" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreachable_target_exits_three(tmp_path):
@@ -533,6 +541,38 @@ def test_cmd_delay_she_rejects_bad_loop_settings(tmp_path, capsys, setting, key)
                    "--she", "on", "--out", str(tmp_path / "she")])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def test_cmd_delay_bad_she_setting_rejected_before_any_solve(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def count_calls(module, name):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count_calls(parasitics, "extract_capacitance")
+    count_calls(device, "solve_steady")
+    path = write_config(tmp_path, BASE_CONFIG + "\n[she]\ndamping = 0\n")
+    rc = cli.main(["delay", path, "--design", "2tier", "--parasitics", "on",
+                   "--she", "on", "--out", str(tmp_path / "she")])
+    assert rc == 2
+    assert "damping" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key, command", [
+    ("load_c", ["delay", "--design", "2tier"]),
+    ("parasitic_floor", ["extract", "--design", "2tier"]),
+])
+def test_negative_experiment_value_exits_two(tmp_path, capsys, key, command):
+    path = write_config(tmp_path, BASE_CONFIG.replace("dt_fs = 10", f"dt_fs = 10\n{key} = -1e-18"))
+    rc = cli.main([command[0], path, *command[1:], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"{key} must be non-negative" in capsys.readouterr().err
 
 
 def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,11 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cfetsim import cli
+from cfetsim.config import load_config
 from cfetsim.errors import (
     ConfigurationError,
     GeometryError,
@@ -16,6 +21,7 @@ from cfetsim.geometry import (
     build_inverter_cell,
     default_stack,
     locate_conductors,
+    regions_csv,
     touching_labels,
     voxelize,
     wired_tiers,
@@ -242,3 +248,19 @@ def test_regions_csv_dump(device_spec):
     assert lines[0] == "label,material,x0_nm,x1_nm,y0_nm,y1_nm,z0_nm,z1_nm"
     assert len(lines) == len(regions) + 1
     assert any(line.startswith("tier0.channel,silicon_nanosheet,") for line in lines)
+
+
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sample_2tier.ini"
+
+
+@pytest.mark.parametrize("design, digest", [
+    ("2tier", "4da8d9d11a941132dc16fca2b376ae49d6795a5725f580c7b7d503559676d47a"),
+    ("4tier-bottom", "dcacf42f8a44b538da51cde1b58104e435fdbd7bd42aef53949330dc33838e62"),
+    ("4tier-top", "624981fc1455f2808ee7e0da4cdf627230530c64a782ae09f115dc6017e18abd"),
+])
+def test_sample_inverter_regions_are_unchanged(design, digest):
+    # float box arithmetic only, so the bytes hold on any platform
+    config = load_config(str(SAMPLE_CONFIG))
+    stack, variant = cli._design_stack(config, design)
+    regions = build_inverter_cell(config.device, stack, config.beol, variant)
+    assert hashlib.sha256(regions_csv(regions).encode()).hexdigest() == digest

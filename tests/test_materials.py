@@ -1,7 +1,9 @@
+import copy
+
 import pytest
 
 from cfetsim.errors import MaterialError
-from cfetsim.materials import Material, default_library, lookup, override
+from cfetsim.materials import Material, default_library, lookup, override, per_cell
 
 
 def test_insulators_below_bulk_silicon(library):
@@ -57,3 +59,18 @@ def test_dielectric_needs_permittivity():
 def test_library_covers_every_grid_material(library, inverter_grid2):
     for name in inverter_grid2.used_material_names():
         assert lookup(library, name) is not None
+
+
+def test_per_cell_maps_each_cell_to_its_material(library, device_grid2):
+    kappa = per_cell(device_grid2, library, lambda m: m.kappa)
+    assert kappa.shape == device_grid2.dims
+    for name in device_grid2.material_names:
+        cells = device_grid2.cells_of_material(name)
+        assert (kappa[cells] == library[name].kappa).all()
+
+
+def test_per_cell_rejects_unassigned_cells(library, device_grid2):
+    grid = copy.deepcopy(device_grid2)
+    grid.material[0, 0, 0] = -1
+    with pytest.raises(MaterialError, match="unassigned"):
+        per_cell(grid, library, lambda m: m.kappa)
