@@ -157,6 +157,8 @@ def cmd_compare(args) -> int:
     table = parasitics.compare_tiers(base, variant)
     atomic_write(args.out, table.to_csv())
     print(f"compared {len(table.rows)} shared elements")
+    if table.missing:
+        print(f"unmatched: {' '.join(table.missing)}")
     return 0
 
 

@@ -17,7 +17,7 @@ from .circuit import Stimulus
 from .device import CompactModelParams, check_she_settings
 from .errors import ConfigurationError
 from .geometry import BeolSpec, DeviceSpec, StackConfig, default_stack
-from .thermal import ThermalBC, default_bc
+from .thermal import ThermalBC, check_thermal_settings, default_bc
 
 _UNIT_SUFFIXES = {
     "nm": ("nm",),
@@ -60,8 +60,6 @@ _SCHEMA = {
         "sheet_thickness": ("nm", 6.0),
         "eot": ("nm", 0.9),
         "spacer_thickness": ("nm", 5.0),
-        "channel_doping": ("none", 1e15),
-        "sd_doping": ("none", 1e20),
         "vdd": ("V", 0.75),
         "sd_extension": ("nm", None),
         "gate_metal_thickness": ("nm", 3.0),
@@ -216,6 +214,8 @@ def load_config(path) -> RunConfig:
             raise ConfigurationError(
                 f"[experiment] {key} must be non-negative, got {values['experiment'][key]}")
     check_she_settings(**values["she"])
+    th = values["thermal"]
+    check_thermal_settings(ambient=th["ambient"], tol=th["tol"], concentration=th["concentration"])
     return RunConfig(
         device=DeviceSpec(**values["device"]), stack=default_stack(**values["stack"]),
         beol=BeolSpec(**values["beol"]),

@@ -85,17 +85,13 @@ class CompactModelParams:
             raise ConfigurationError("n_ss must be >= 1")
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
 def _forward_current(p: CompactModelParams, vgs, vds, t):
     """n-type current for vds >= 0."""
     phit = K_B * t / Q_E
     a = p.n_ss * phit
     vth = p.vth0 + p.k_vth * (t - T_REF)
     u = (vgs - vth) / a
-    v_q = a * _softplus(u)
+    v_q = a * np.logaddexp(0.0, u)  # softplus
     mu = p.mu0 * 1e-4 * (t / T_REF) ** (-p.alpha_mu)  # m^2/(V s)
     vsat = p.vsat0 * (t / T_REF) ** (-p.alpha_vsat)
     esat_l = 2.0 * vsat * p.l_eff / mu  # V
@@ -109,11 +105,12 @@ def _forward_current(p: CompactModelParams, vgs, vds, t):
 
 
 def _ncurrent(p, vgs, vds, t):
+    """Reverse bias swaps source and drain: the gate then sees vgs - vds."""
     vgs = np.asarray(vgs, dtype=float)
     vds = np.asarray(vds, dtype=float)
-    fwd = _forward_current(p, vgs, np.abs(vds), t)
-    rev = _forward_current(p, vgs - vds, np.abs(vds), t)
-    return np.where(vds >= 0, fwd, -rev)
+    reverse = vds < 0
+    i = _forward_current(p, np.where(reverse, vgs - vds, vgs), np.abs(vds), t)
+    return np.where(reverse, -i, i)
 
 
 def drain_current(p: CompactModelParams, vgs, vds, t=T_REF):
@@ -370,32 +367,3 @@ def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
                           delta_t=power * ctx.r_max, ion_degradation=degradation,
                           iterations=it, residuals=residuals)
 
-
-def transfer_curve(p: CompactModelParams, vds: float, vgs_sweep,
-                   mode: str = "isothermal", ctx: ThermalContext | None = None,
-                   t: float = T_REF):
-    """Rows of (vgs, id, t_channel); she mode runs the coupled loop per bias."""
-    vgs_sweep = np.asarray(vgs_sweep, dtype=float)
-    if len(vgs_sweep) > 1 and not (np.all(np.diff(vgs_sweep) > 0)
-                                   or np.all(np.diff(vgs_sweep) < 0)):
-        raise ConfigurationError("vgs sweep must be monotone")
-    rows = []
-    if mode == "isothermal":
-        for vgs in vgs_sweep:
-            rows.append((float(vgs), drain_current(p, float(vgs), vds, t), t))
-    elif mode == "she":
-        if ctx is None:
-            raise ConfigurationError("she mode needs a thermal context")
-        for vgs in vgs_sweep:
-            op = she_operating_point(p, float(vgs), vds, ctx)
-            signed = math.copysign(op.id, drain_current(p, float(vgs), vds, t))
-            rows.append((float(vgs), signed, op.t_channel))
-    else:
-        raise ConfigurationError(f"unknown transfer mode {mode!r}")
-    return rows
-
-
-def transfer_curve_csv(rows) -> str:
-    lines = ["vgs_V,id_A,t_channel_K"]
-    lines.extend(f"{float(v)!r},{float(i)!r},{float(t)!r}" for v, i, t in rows)
-    return "\n".join(lines) + "\n"

@@ -45,8 +45,6 @@ class DeviceSpec:
     sheet_thickness: float = 6.0  # nm
     eot: float = 0.9  # nm
     spacer_thickness: float = 5.0  # nm
-    channel_doping: float = 1e15  # cm^-3
-    sd_doping: float = 1e20  # cm^-3
     vdd: float = 0.75  # V
     sd_extension: float | None = None  # nm, defaults to 2x spacer_thickness
     gate_metal_thickness: float = 3.0  # nm
@@ -64,8 +62,6 @@ class DeviceSpec:
             raise ConfigurationError("device lengths must be strictly positive")
         if not self.eot < self.sheet_thickness:
             raise ConfigurationError("eot must be smaller than the sheet thickness")
-        if not self.sd_doping > self.channel_doping:
-            raise ConfigurationError("sd_doping must exceed channel_doping")
         if self.sd_extension is not None and not self.sd_extension > 0:
             raise ConfigurationError("sd_extension must be positive")
         if not self.vdd > 0:
@@ -137,10 +133,9 @@ class BeolSpec:
     margin: float = 20.0  # dielectric guard around the cell
 
     def __post_init__(self):
-        if not self.via_cross_section > 0:
-            raise ConfigurationError("via_cross_section must be positive")
-        if not self.metal_thickness > 0:
-            raise ConfigurationError("metal_thickness must be positive")
+        for key in ("via_cross_section", "metal_thickness", "bpr_thickness", "margin"):
+            if not getattr(self, key) > 0:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
 
     @property
     def via_side(self) -> float:

@@ -61,6 +61,22 @@ def default_bc(ambient: float = 300.0, top_h: float = 5e4) -> ThermalBC:
     return ThermalBC(faces)
 
 
+# [thermal] setting -> (test, rule stated in the error)
+_THERMAL_RULES = {
+    "ambient": (lambda v: v > 0, "must be positive"),
+    "tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "concentration": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+}
+
+
+def check_thermal_settings(**settings):
+    """Reject the given heat-solve settings (ambient, tol, concentration) out of range."""
+    for key, value in settings.items():
+        ok, rule = _THERMAL_RULES[key]
+        if not ok(value):
+            raise ConfigurationError(f"{key} {rule}, got {value}")
+
+
 @dataclass
 class HeatSourceField:
     q: np.ndarray  # W/m^3 per cell
@@ -148,8 +164,7 @@ def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float
     """
     if total_power < 0:
         raise ConfigurationError("total_power must be non-negative")
-    if not 0 < concentration <= 1:
-        raise ConfigurationError("concentration must be in (0, 1]")
+    check_thermal_settings(concentration=concentration)
     mask = grid.cells_of_label(device_region)
     if not mask.any():
         raise RegionNotFoundError(f"no cells labeled {device_region!r}")

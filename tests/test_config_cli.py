@@ -77,6 +77,13 @@ def test_load_config_unknown_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key", ["channel_doping", "sd_doping"])
+def test_doping_keys_are_unknown(tmp_path, capsys, key):
+    path = write_config(tmp_path, BASE_CONFIG.replace("vdd = 0.75V", f"vdd = 0.75V\n{key} = 1e15"))
+    assert cli.main(["calibrate", path, "--out", str(tmp_path / "cal")]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_load_config_unknown_section(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + "\n[wibble]\nx = 1\n")
     with pytest.raises(ConfigurationError):
@@ -319,6 +326,19 @@ def test_cmd_compare_disjoint_exits_two(tmp_path):
     assert rc == 2
 
 
+def test_cmd_compare_reports_unmatched_elements(tmp_path, capsys):
+    a = tmp_path / "a.sp"
+    b = tmp_path / "b.sp"
+    a.write_text("R_a_b a b 2.0\nC_a_b a b 1e-18\n")
+    b.write_text("R_a_b a b 4.0\nR_x_y x y 1.0\n")
+    out = tmp_path / "r.csv"
+    assert cli.main(["compare", "--base", str(a), "--variant", str(b), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "compared 1 shared elements\nunmatched: C_a_b R_x_y\n"
+    assert out.read_text() == "element,base,variant,ratio\nR_a_b,2.0,4.0,2.00\n"
+    assert cli.main(["compare", "--base", str(a), "--variant", str(a), "--out", str(out)]) == 0
+    assert "unmatched" not in capsys.readouterr().out
+
+
 def test_cmd_delay_parasitics_increase_tp(tmp_path):
     path = write_config(tmp_path)
     para = tmp_path / "para.sp"
@@ -463,8 +483,6 @@ sheet_width = 18nm
 sheet_thickness = 7nm
 eot = 1.1nm
 spacer_thickness = 6nm
-channel_doping = 2e15
-sd_doping = 3e20
 vdd = 0.8V
 sd_extension = 11nm
 gate_metal_thickness = 4nm
@@ -494,8 +512,7 @@ def test_load_config_every_spec_key_reaches_its_field(tmp_path):
     config = load_config(write_config(tmp_path, ALL_SPEC_KEYS))
     assert config.device == DeviceSpec(
         gate_length=17.0, sheet_width=18.0, sheet_thickness=7.0, eot=1.1,
-        spacer_thickness=6.0, channel_doping=2e15, sd_doping=3e20, vdd=0.8,
-        sd_extension=11.0, gate_metal_thickness=4.0)
+        spacer_thickness=6.0, vdd=0.8, sd_extension=11.0, gate_metal_thickness=4.0)
 
     stack = config.stack
     assert stack.tier_count == 4
@@ -597,3 +614,31 @@ def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch
     rc = cli.main(["thermal", path, "--device=-1:n", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "--device -1:n: tier -1 is absent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("tol = 1", "tol must lie in (0, 1)"), ("tol = 0", "tol must lie in (0, 1)"),
+    ("ambient = -5K", "ambient must be positive"),
+    ("concentration = 0", "concentration must lie in (0, 1]"),
+    ("concentration = 1.5", "concentration must lie in (0, 1]"),
+])
+def test_cmd_thermal_bad_setting_rejected_at_load(tmp_path, monkeypatch, capsys, setting, message):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for a bad [thermal] setting")
+
+    monkeypatch.setattr(cli, "build_inverter_grid", no_grid)
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", f"power = 2e-6\n{setting}"))
+    rc = cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beol, key", [
+    ("margin = 0nm", "margin"), ("margin = -5nm", "margin"),
+    ("margin = 12nm\nbpr_thickness = 0nm", "bpr_thickness"),
+])
+def test_cmd_extract_bad_beol_size_names_the_key(tmp_path, capsys, beol, key):
+    path = write_config(tmp_path, BASE_CONFIG.replace("margin = 12nm", beol))
+    rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert f"{key} must be positive" in capsys.readouterr().err

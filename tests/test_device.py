@@ -10,6 +10,7 @@ from cfetsim.device import (
     Q_E,
     CompactModelParams,
     ThermalContext,
+    _forward_current,
     calibrate,
     calibration_residuals,
     drain_current,
@@ -18,7 +19,6 @@ from cfetsim.device import (
     she_operating_point,
     subthreshold_swing,
     threshold_voltage,
-    transfer_curve,
 )
 from cfetsim.errors import CalibrationError, ConfigurationError
 from cfetsim.thermal import FaceBC, ThermalBC, default_bc
@@ -110,6 +110,32 @@ def test_polarity_sign_reflection():
     for vg, vd in ((0.75, 0.75), (0.3, 0.5), (0.0, 0.75)):
         assert drain_current(pp, -vg, -vd, 310.0) == pytest.approx(
             -drain_current(pn, vg, vd, 310.0), rel=1e-12)
+
+
+def two_branch_current(p, vgs, vds, t):
+    """The model as it was: both bias branches evaluated, one of them kept."""
+    def ncurrent(vgs, vds):
+        fwd = _forward_current(p, vgs, np.abs(vds), t)
+        rev = _forward_current(p, vgs - vds, np.abs(vds), t)
+        return np.where(vds >= 0, fwd, -rev)
+
+    vgs = np.asarray(vgs, dtype=float)
+    vds = np.asarray(vds, dtype=float)
+    out = -ncurrent(-vgs, -vds) if p.polarity == "p" else ncurrent(vgs, vds)
+    return out.item() if np.ndim(out) == 0 else out
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("t", [300.0, 400.0])
+def test_one_branch_current_equals_two_branch_exactly(polarity, t):
+    p = CompactModelParams(polarity=polarity)
+    bias = np.append(np.linspace(-VDD, VDD, 30), 0.0)
+    vgs, vds = np.meshgrid(bias, bias)
+    assert (drain_current(p, vgs, vds, t) == two_branch_current(p, vgs, vds, t)).all()
+    for vg in bias:
+        for vd in bias:
+            got = drain_current(p, float(vg), float(vd), t)
+            assert got == two_branch_current(p, float(vg), float(vd), t), (vg, vd)
 
 
 def test_calibration_round_trip():
@@ -230,47 +256,6 @@ def test_degradation_in_unit_interval_with_nonneg_coefficients():
         assert 0.0 <= degradation < 1.0
 
 
-def test_transfer_curve_isothermal_monotone(nfet):
-    rows = transfer_curve(nfet, VDD, np.linspace(0.0, VDD, 41))
-    ids = [r[1] for r in rows]
-    assert all(b > a for a, b in zip(ids, ids[1:]))
-
-
-def test_transfer_curve_she_below_isothermal(device_grid2, library):
-    p = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
-    ctx = she_context(device_grid2, library, "tier1.channel")
-    vth = threshold_voltage(p, VDD)
-    sweep = np.linspace(vth + 0.1, VDD, 6)
-    iso = transfer_curve(p, VDD, sweep, mode="isothermal")
-    she = transfer_curve(p, VDD, sweep, mode="she", ctx=ctx)
-    for (_, i_iso, _), (_, i_she, _) in zip(iso, she):
-        assert i_she <= i_iso + 1e-18
-
-
-def test_transfer_curve_consistent_with_operating_point(device_grid2, library):
-    p = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
-    ctx = she_context(device_grid2, library, "tier1.channel")
-    op = she_operating_point(p, VDD, VDD, ctx)
-    iso = drain_current(p, VDD, VDD, 300.0)
-    rows = transfer_curve(p, VDD, [VDD], mode="she", ctx=ctx)
-    assert (iso - rows[0][1]) / iso == pytest.approx(op.ion_degradation, abs=1e-9)
-
-
-def test_transfer_curve_rejects_unordered_sweep(nfet):
-    with pytest.raises(ConfigurationError):
-        transfer_curve(nfet, VDD, [0.0, 0.5, 0.2])
-
-
 def test_threshold_and_swing_measures(nfet):
     assert 0.1 < threshold_voltage(nfet, VDD) < 0.6
     assert 59.0 < subthreshold_swing(nfet, VDD) < 120.0
-
-
-def test_transfer_curve_csv_format(nfet):
-    from cfetsim.device import transfer_curve_csv
-
-    rows = transfer_curve(nfet, VDD, np.linspace(0.0, VDD, 5))
-    text = transfer_curve_csv(rows)
-    lines = text.strip().splitlines()
-    assert lines[0] == "vgs_V,id_A,t_channel_K"
-    assert len(lines) == 6

@@ -37,8 +37,6 @@ def test_device_spec_invariants():
         DeviceSpec(gate_length=-1.0)
     with pytest.raises(ConfigurationError):
         DeviceSpec(eot=7.0, sheet_thickness=6.0)
-    with pytest.raises(ConfigurationError):
-        DeviceSpec(sd_doping=1e14, channel_doping=1e15)
 
 
 def test_stack_tier_count():
