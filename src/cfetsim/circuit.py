@@ -11,9 +11,10 @@ here, so each Newton step is a dense solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import csgraph
 
 from .device import CompactModelParams, drain_current, she_operating_point
 from .errors import (
@@ -86,28 +87,17 @@ class Netlist:
         if not self.elements:
             raise NetlistError("empty netlist")
         # every node needs a DC path to ground through R, V or transistor elements
-        parent = {}
-
-        def find(x):
-            parent.setdefault(x, x)
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            parent[find(a)] = find(b)
-
-        find(GROUND)
+        nodes = self.nodes
+        index = {n: i for i, n in enumerate(nodes)}
+        linked = np.zeros((len(nodes), len(nodes)))
         for el in self.elements:
             if isinstance(el, (Resistor, VSource)):
-                union(el.n1, el.n2)
+                linked[index[el.n1], index[el.n2]] = 1.0
             elif isinstance(el, Transistor):
-                union(el.d, el.s)
-                union(el.g, el.s)
-        root = find(GROUND)
-        for n in self.nodes:
-            if find(n) != root:
+                linked[index[el.s], [index[el.d], index[el.g]]] = 1.0
+        _, part = csgraph.connected_components(linked, directed=False)
+        for n, p in zip(nodes, part):
+            if p != part[0]:  # nodes lists ground first
                 raise NetlistError(f"node {n!r} has no DC path to ground")
 
 
@@ -358,6 +348,8 @@ class Stimulus:
         return self.dt_fs * 1e-15
 
 
+# (rail, device-side node): a merged pair keeps the rail's name, so the
+# orientation shows in the waveform headers
 RAIL_PAIRS = (("Input", "Gate"), ("Output", "Drain"),
               ("Power", "PSource"), ("Ground", "NSource"))
 
@@ -374,10 +366,7 @@ def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelPar
     """
     nl = Netlist()
     para_elements = list(parasitics.elements) if parasitics is not None else []
-    have_r = set()
-    for el in para_elements:
-        if isinstance(el, Resistor):
-            have_r.add(frozenset((el.n1, el.n2)))
+    have_r = {frozenset((el.n1, el.n2)) for el in para_elements if isinstance(el, Resistor)}
 
     node_of = {"Input": "Input", "Output": "Output", "Power": "Power",
                "Ground": GROUND, "Gate": "Gate", "Drain": "Drain",
@@ -403,14 +392,11 @@ def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelPar
     if load_c > 0:
         nl.add(Capacitor("Cload", node_of["Output"], GROUND, load_c))
 
+    rename = lambda n: GROUND if n == "Ground" else n
     for el in para_elements:
-        rename = lambda n: GROUND if n == "Ground" else n
-        if isinstance(el, Resistor):
-            nl.add(Resistor(el.name, rename(el.n1), rename(el.n2), el.value))
-        elif isinstance(el, Capacitor):
-            nl.add(Capacitor(el.name, rename(el.n1), rename(el.n2), el.value))
-        else:
+        if not isinstance(el, (Resistor, Capacitor)):
             raise NetlistError(f"cannot splice element {el!r}")
+        nl.add(replace(el, n1=rename(el.n1), n2=rename(el.n2)))
     return nl
 
 
@@ -460,8 +446,8 @@ def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float = 0.75,
     `loop` (`damping`, `tol_k`, `max_iter`) steers both fixed-point loops,
     as in `she_operating_point`.
     """
-    op_n = she_operating_point(nparams, vdd, vdd, ctx_n, **loop)
-    op_p = she_operating_point(pparams, -vdd, -vdd, ctx_p, **loop)
+    op_n = she_operating_point(nparams, vdd, ctx_n, **loop)
+    op_p = she_operating_point(pparams, vdd, ctx_p, **loop)
     res = inverter_experiment(nparams, pparams, vdd, parasitic_netlist, load_c,
                               stimulus, t_n=op_n.t_channel, t_p=op_p.t_channel)
     return SheDelayResult(res, {"n": op_n.delta_t, "p": op_p.delta_t})

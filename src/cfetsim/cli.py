@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import circuit, device, geometry, netlist_io, parasitics, thermal
 from .config import RunConfig, device_targets, load_config, seed_params
@@ -32,17 +33,21 @@ _SOLVER_ERRORS = (ConvergenceError, SingularSystemError, TransientFailureError,
 
 
 def _design_stack(config: RunConfig, design: str):
-    tier_count = 2 if design == "2tier" else 4
+    """The configured stack with the design's tier count and its own tier order.
+
+    A 2-tier design keeps the bottom pair; a 4-tier design on a 2-tier
+    stack repeats the pair, the copy sitting one tier gap above it.
+    """
     variant = "top" if design.endswith("top") else "bottom"
     stack = config.stack
-    if stack.tier_count != tier_count:
-        # promote or demote the configured stack, keeping its gap choices
-        stack = geometry.default_stack(
-            tier_count, tier_gap=stack.tiers[1].gap_below,
-            standoff=stack.tiers[0].gap_below,
-            substrate_thickness=stack.substrate_thickness,
-            inter_tier_dielectric=stack.inter_tier_dielectric)
-    return stack, variant
+    pair = stack.tiers[:2]
+    if design == "2tier":
+        tiers = pair
+    elif stack.tier_count == 4:
+        tiers = stack.tiers
+    else:
+        tiers = (*pair, replace(pair[0], gap_below=pair[1].gap_below), pair[1])
+    return replace(stack, tiers=tiers), variant
 
 
 def build_inverter_grid(config: RunConfig, design: str):
@@ -87,21 +92,11 @@ def cmd_thermal(args) -> int:
     grid = build_inverter_grid(config, design)[0]
 
     ctx = _she_context(config, grid, tier)
-    power_key = config.thermal["power"]
-    if power_key == "auto":
+    power = config.thermal["power"]
+    if power == "auto":
         params, _ = calibrated_params(config, pol)
         vdd = config.device.vdd
-        op = device.she_operating_point(params, device._bias(params, vdd),
-                                        device._bias(params, vdd), ctx, **config.she)
-        power = op.id * vdd
-    else:
-        try:
-            power = float(power_key)
-        except ValueError:
-            raise ConfigurationError(
-                f"[thermal] power must be 'auto' or a wattage, got {power_key!r}")
-        if power < 0:
-            raise ConfigurationError("power must be non-negative")
+        power = device.she_operating_point(params, vdd, ctx, **config.she).id * vdd
 
     fld = ctx.solve_at_power(power)
     dtmax = thermal.delta_t_max(fld)

@@ -10,6 +10,7 @@ Unknown sections or keys are rejected.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from . import materials as mat_mod
@@ -174,6 +175,20 @@ def _coerce(section, key, unit, raw):
     return parse_value(raw, unit)
 
 
+def _parse_power(raw: str) -> str | float:
+    """[thermal] power: "auto" or a finite, non-negative wattage."""
+    if raw == "auto":
+        return raw
+    try:
+        watts = float(raw)
+    except ValueError:
+        watts = math.nan
+    if not 0 <= watts < math.inf:
+        raise ConfigurationError(
+            f"[thermal] power must be 'auto' or a non-negative wattage, got {raw!r}")
+    return watts
+
+
 def load_config(path) -> RunConfig:
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
@@ -215,7 +230,9 @@ def load_config(path) -> RunConfig:
                 f"[experiment] {key} must be non-negative, got {values['experiment'][key]}")
     check_she_settings(**values["she"])
     th = values["thermal"]
-    check_thermal_settings(ambient=th["ambient"], tol=th["tol"], concentration=th["concentration"])
+    check_thermal_settings(ambient=th["ambient"], top_h=th["top_h"], tol=th["tol"],
+                           concentration=th["concentration"])
+    th["power"] = _parse_power(th["power"])
     return RunConfig(
         device=DeviceSpec(**values["device"]), stack=default_stack(**values["stack"]),
         beol=BeolSpec(**values["beol"]),

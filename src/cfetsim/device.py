@@ -337,19 +337,20 @@ def check_she_settings(damping: float, tol_k: float, max_iter: int):
         raise ConfigurationError(f"tol_k must be positive, got {tol_k}")
 
 
-def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
-                        ctx: ThermalContext, damping: float = 0.5,
-                        tol_k: float = 0.01, max_iter: int = 100) -> OperatingPoint:
-    """Damped fixed point between drain current and channel temperature."""
+def she_operating_point(p: CompactModelParams, vdd: float, ctx: ThermalContext,
+                        damping: float = 0.5, tol_k: float = 0.01,
+                        max_iter: int = 100) -> OperatingPoint:
+    """Damped fixed point between drain current and channel temperature,
+    with the device fully on: |vgs| = |vds| = vdd."""
     check_she_settings(damping, tol_k, max_iter)
     ctx.prepare()
     ambient = ctx.bc.ambient
-    i_iso = abs(drain_current(p, vgs, vds, T_REF))
+    i_iso = current_magnitude(p, vdd, vdd, T_REF)
     t_ch = ambient
     residuals = []
     for it in range(1, max_iter + 1):
-        i_d = abs(drain_current(p, vgs, vds, t_ch))
-        power = i_d * abs(vds)
+        i_d = current_magnitude(p, vdd, vdd, t_ch)
+        power = i_d * vdd
         t_target = ambient + power * ctx.r_mean
         step = damping * (t_target - t_ch)
         t_ch += step
@@ -360,8 +361,8 @@ def she_operating_point(p: CompactModelParams, vgs: float, vds: float,
         raise CouplingDivergenceError(
             f"electro-thermal loop open after {max_iter} iterations",
             residual=residuals[-1])
-    i_final = abs(drain_current(p, vgs, vds, t_ch))
-    power = i_final * abs(vds)
+    i_final = current_magnitude(p, vdd, vdd, t_ch)
+    power = i_final * vdd
     degradation = 1.0 - i_final / i_iso if i_iso > 0 else 0.0
     return OperatingPoint(id=i_final, t_channel=t_ch,
                           delta_t=power * ctx.r_max, ion_degradation=degradation,

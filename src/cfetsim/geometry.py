@@ -50,16 +50,10 @@ class DeviceSpec:
     gate_metal_thickness: float = 3.0  # nm
 
     def __post_init__(self):
-        lengths = (
-            self.gate_length,
-            self.sheet_width,
-            self.sheet_thickness,
-            self.eot,
-            self.spacer_thickness,
-            self.gate_metal_thickness,
-        )
-        if any(not v > 0 for v in lengths):
-            raise ConfigurationError("device lengths must be strictly positive")
+        for key in ("gate_length", "sheet_width", "sheet_thickness", "eot",
+                    "spacer_thickness", "gate_metal_thickness"):
+            if not getattr(self, key) > 0:
+                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
         if not self.eot < self.sheet_thickness:
             raise ConfigurationError("eot must be smaller than the sheet thickness")
         if self.sd_extension is not None and not self.sd_extension > 0:
@@ -136,6 +130,8 @@ class BeolSpec:
         for key in ("via_cross_section", "metal_thickness", "bpr_thickness", "margin"):
             if not getattr(self, key) > 0:
                 raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
+        if not self.bpr_depth >= 0:
+            raise ConfigurationError(f"bpr_depth must be non-negative, got {self.bpr_depth}")
 
     @property
     def via_side(self) -> float:
@@ -285,6 +281,11 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
     ``variant`` selects whether the bottom or the top complementary pair is
     wired, which sets the via lengths.
     """
+    bpr_bottom = beol.bpr_depth + beol.bpr_thickness
+    if beol.buried_power_rail and bpr_bottom > config.substrate_thickness:
+        raise ConfigurationError(
+            f"bpr_depth + bpr_thickness must not exceed substrate_thickness "
+            f"{config.substrate_thickness}, got {bpr_bottom}")
     frames = _tier_frames(spec, config)
     p_tier, n_tier = wired_tiers(config, variant)
     fp, fn = frames[p_tier], frames[n_tier]
@@ -338,9 +339,8 @@ def build_inverter_cell(spec: DeviceSpec, config: StackConfig, beol: BeolSpec,
         xv0 = -6.0 - wv
         strap = _box(xv0, 4.0, y0, y1, f.sheet_z0, f.sheet_z1)
         if beol.buried_power_rail:
-            z_lo = -beol.bpr_depth - beol.bpr_thickness
             rail(name,
-                 _box(x_min, 0.0, y0, y1, z_lo, -beol.bpr_depth),
+                 _box(x_min, 0.0, y0, y1, -bpr_bottom, -beol.bpr_depth),
                  _box(xv0, -6.0, y0, y1, -beol.bpr_depth, f.sheet_z1),
                  strap)
         else:

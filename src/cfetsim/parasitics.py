@@ -4,13 +4,13 @@ Both solves use the finite-volume operator of `fv`, with each conductor
 or terminal as one fixed-value column of its coupling matrix.
 
 Capacitance: one Laplace solve per conductor with that conductor at 1 V
-and the rest grounded, zero normal flux on the outer boundary (optionally
-a grounded shield). The Dirichlet value sits on the conductor surface, so
-a plate gap meshed into k uniform cells reproduces eps A / d exactly up
-to fringing. Charges are the boundary fluxes of the same discrete
-operator (Gauss summation), which keeps the Maxwell matrix symmetric
-to solver precision. Conductor-role cells that are not in the extraction
-set (floating metal) are treated as a very high permittivity dielectric.
+and the rest grounded, zero normal flux on the outer boundary. The
+Dirichlet value sits on the conductor surface, so a plate gap meshed
+into k uniform cells reproduces eps A / d exactly up to fringing.
+Charges are the boundary fluxes of the same discrete operator (Gauss
+summation), which keeps the Maxwell matrix symmetric to solver
+precision. Conductor-role cells that are not in the extraction set
+(floating metal) are treated as a very high permittivity dielectric.
 
 Resistance: a conduction Laplace solve inside one conductor with the two
 terminals held at fixed potential on their faces; R is the applied volt
@@ -100,11 +100,10 @@ class ResistanceReport:
 
 
 def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
-                        conductors: list[str], tol: float = 1e-10,
-                        shield: bool = False) -> CapacitanceMatrix:
+                        conductors: list[str], tol: float = 1e-10) -> CapacitanceMatrix:
     """Maxwell capacitance matrix among named conductor labels."""
-    if len(conductors) < 2 and not shield:
-        raise GeometryError("need at least two conductors (or a grounded shield)")
+    if len(conductors) < 2:
+        raise GeometryError("need at least two conductors")
     located = locate_conductors(grid)
     for name in conductors:
         if name not in located:
@@ -124,8 +123,7 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
         FLOATING_METAL_EPS if m.role == "conductor" else m.eps_r) * EPS0)
     idx = np.arange(grid.n_cells).reshape(grid.dims)
 
-    # Dirichlet on each conductor face, column = conductor; column nrhs is
-    # the grounded shield on the outer boundary
+    # Dirichlet on each conductor face, column = conductor
     fixed = []
     for axis in range(3):
         lo, hi = fv.face_pairs(axis)
@@ -134,20 +132,15 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
             cells = idx[inner][m]
             fixed.append((cells, fv.half_conductance(grid, eps, cells, axis),
                           cond_id[outer][m]))
-        if shield:
-            for side in (0, 1):
-                face = fv.outer_face(axis, side)
-                cells = idx[face][domain[face]]
-                fixed.append((cells, fv.half_conductance(grid, eps, cells, axis), nrhs))
-    mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs + 1)
+    mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs)
 
-    phi_fixed = np.eye(nrhs + 1, nrhs)  # solve i: conductor i at 1 V, all else at 0
+    phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
     rhs = coupling @ phi_fixed
     phi = np.column_stack([
         fv.solve_spd(mat, rhs[:, i], tol, grid, name=f"capacitance solve {name}")
         for i, name in enumerate(conductors)])
     # Gauss sums: c_raw[i, j] is the charge on conductor j in solve i
-    c_raw = fv.boundary_flux(coupling, phi, phi_fixed)[:nrhs].T
+    c_raw = fv.boundary_flux(coupling, phi, phi_fixed).T
 
     sym = 0.5 * (c_raw + c_raw.T)
     scale = np.abs(sym).max() or 1.0

@@ -64,13 +64,14 @@ def default_bc(ambient: float = 300.0, top_h: float = 5e4) -> ThermalBC:
 # [thermal] setting -> (test, rule stated in the error)
 _THERMAL_RULES = {
     "ambient": (lambda v: v > 0, "must be positive"),
+    "top_h": (lambda v: v > 0, "must be positive"),
     "tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "concentration": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
 }
 
 
 def check_thermal_settings(**settings):
-    """Reject the given heat-solve settings (ambient, tol, concentration) out of range."""
+    """Reject heat-solve settings (ambient, top_h, tol, concentration) out of range."""
     for key, value in settings.items():
         ok, rule = _THERMAL_RULES[key]
         if not ok(value):
@@ -158,9 +159,10 @@ def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float
                          concentration: float = 0.7) -> HeatSourceField:
     """Deposit power in a channel, biased toward its drain-side half.
 
-    ``concentration`` of the power lands uniformly in the half of the
-    channel nearer the drain, the rest uniformly in the other half. The
-    field integrates to total_power exactly.
+    x runs from source to drain (see `geometry`), so the drain-side half
+    is the part of the channel above its x midplane. ``concentration`` of
+    the power lands uniformly in that half, the rest uniformly in the
+    other half. The field integrates to total_power exactly.
     """
     if total_power < 0:
         raise ConfigurationError("total_power must be non-negative")
@@ -169,20 +171,11 @@ def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float
     if not mask.any():
         raise RegionNotFoundError(f"no cells labeled {device_region!r}")
 
-    xc = grid.centers(0)
     ix = np.nonzero(mask.any(axis=(1, 2)))[0]
     x_mid = 0.5 * (grid.x_edges[ix[0]] + grid.x_edges[ix[-1] + 1])
-
-    drain_side_high = True
-    drain_label = device_region.replace(".channel", ".drain")
-    if drain_label != device_region and grid.label_code(drain_label) >= 0:
-        dmask = grid.cells_of_label(drain_label)
-        jx = np.nonzero(dmask.any(axis=(1, 2)))[0]
-        drain_side_high = xc[jx].mean() > x_mid
-
-    high = xc[:, None, None] > x_mid
-    near = mask & (high if drain_side_high else ~high)
-    far = mask & ~ (high if drain_side_high else ~high)
+    high = grid.centers(0)[:, None, None] > x_mid
+    near = mask & high
+    far = mask & ~high
     if not near.any() or not far.any():
         raise ConfigurationError(f"channel {device_region!r} too thin to split at midplane")
 

@@ -255,14 +255,14 @@ def test_criterion_4_she_ordering_suite(library, she_fixture):
             return ThermalContext(grid, library, bc, region)
 
         # (a) pFET sits below the nFET but carries 17.5 percent more current
-        op_n = she_operating_point(pn, VDD, VDD, ctx(grid2, "tier1.channel"))
-        op_p = she_operating_point(pp, -VDD, -VDD, ctx(grid2, "tier0.channel"))
+        op_n = she_operating_point(pn, VDD, ctx(grid2, "tier1.channel"))
+        op_p = she_operating_point(pp, VDD, ctx(grid2, "tier0.channel"))
         assert op_p.delta_t > op_n.delta_t
         assert op_p.ion_degradation > op_n.ion_degradation
 
         # (b) matched device, bottom-pair vs top-pair tier of the 4-tier stack
-        op_bot = she_operating_point(pn, VDD, VDD, ctx(grid4, "tier1.channel"))
-        op_top = she_operating_point(pn, VDD, VDD, ctx(grid4, "tier3.channel"))
+        op_bot = she_operating_point(pn, VDD, ctx(grid4, "tier1.channel"))
+        op_top = she_operating_point(pn, VDD, ctx(grid4, "tier3.channel"))
         assert op_top.delta_t > op_bot.delta_t
 
         # (c) strictly positive degradation, larger in the top tier

@@ -9,6 +9,7 @@ from cfetsim.circuit import (
     Netlist,
     Resistor,
     Stimulus,
+    Transistor,
     VSource,
     Waveform,
     build_inverter_netlist,
@@ -82,6 +83,56 @@ def test_floating_node_rejected():
     nl.add(Capacitor("C1", "b", "c", 1e-15))  # b, c have no DC path
     with pytest.raises(NetlistError):
         transient(nl, 1e-12, 1e-14)
+
+
+def _first_floating_node(nl):
+    """Reference: union-find over the R, V and transistor edges."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for el in nl.elements:
+        if isinstance(el, Transistor):
+            pairs = [(el.d, el.s), (el.g, el.s)]
+        elif isinstance(el, (Resistor, VSource)):
+            pairs = [(el.n1, el.n2)]
+        else:
+            pairs = []
+        for a, b in pairs:
+            parent[find(a)] = find(b)
+    return next((n for n in nl.nodes if find(n) != find("0")), None)
+
+
+def test_dc_path_check_matches_union_find():
+    rng = np.random.default_rng(5)
+    nodes = ["0"] + [f"n{k}" for k in range(7)]
+    params = CompactModelParams()
+    floating = 0
+    for trial in range(200):
+        nl = Netlist()
+        for k in range(rng.integers(1, 9)):
+            a, b, c = (str(n) for n in rng.choice(nodes, 3))
+            kind = rng.integers(4)
+            if kind == 0:
+                nl.add(Resistor(f"R{k}", a, b, 1e3))
+            elif kind == 1:
+                nl.add(VSource(f"V{k}", a, b, ((0.0, 1.0),)))
+            elif kind == 2:
+                nl.add(Capacitor(f"C{k}", a, b, 1e-15))
+            else:
+                nl.add(Transistor(f"M{k}", d=a, g=b, s=c, params=params))
+        node = _first_floating_node(nl)
+        if node is None:
+            nl.validate_for_transient()
+        else:
+            floating += 1
+            with pytest.raises(NetlistError, match=f"^node '{node}' has no DC path to ground$"):
+                nl.validate_for_transient()
+    assert 0 < floating < 200
 
 
 def test_passive_voltages_stay_bounded():

@@ -63,7 +63,7 @@ def test_load_config_defaults(tmp_path):
     assert config.device.sheet_width == 16.0  # untouched default
     assert config.stack.substrate_thickness == 60.0
     assert config.mesh_resolution == 4.0
-    assert config.thermal["power"] == "2e-6"
+    assert config.thermal["power"] == 2e-6
 
 
 def test_load_config_missing_file(tmp_path):
@@ -361,6 +361,25 @@ def test_cmd_delay_parasitics_increase_tp(tmp_path):
     assert (out_on / "waveforms.csv").exists()
 
 
+def test_cmd_delay_waveform_headers_pin_node_names(tmp_path):
+    # a rail resistor keeps the device-side node; without one the rail's name survives
+    path = write_config(tmp_path)
+    headers = {}
+    for para in ("on", "off"):
+        out = tmp_path / para
+        assert cli.main(["delay", path, "--design", "2tier", "--parasitics", para,
+                         "--out", str(out)]) == 0
+        for name in ("waveforms.csv", "waveforms_baseline.csv"):
+            headers[para, name] = (out / name).read_text().split("\n", 1)[0]
+    rails = "t_s,Input,Output,Power"
+    assert headers == {
+        ("on", "waveforms.csv"): "t_s,Drain,Gate,Input,NSource,Output,PSource,Power",
+        ("on", "waveforms_baseline.csv"): rails,
+        ("off", "waveforms.csv"): rails,
+        ("off", "waveforms_baseline.csv"): rails,
+    }
+
+
 def test_cmd_delay_she_zero_coefficients(tmp_path):
     # ion-only fit at a weak drive so the thermal loop stays mild
     text = BASE_CONFIG
@@ -416,9 +435,9 @@ def test_cmd_delay_she_assembles_heat_operator_once(tmp_path, monkeypatch):
     config = cli.load_config(path)
     grid, _, (p_tier, n_tier), _ = cli.build_inverter_grid(config, "2tier")
     vdd = config.device.vdd
-    for pol, tier, bias in (("n", n_tier, vdd), ("p", p_tier, -vdd)):
+    for pol, tier in (("n", n_tier), ("p", p_tier)):
         params, _ = cli.calibrated_params(config, pol)
-        op = device.she_operating_point(params, bias, bias, cli._she_context(config, grid, tier),
+        op = device.she_operating_point(params, vdd, cli._she_context(config, grid, tier),
                                         **config.she)
         assert report[f"delta_t_{pol}_K"] == repr(float(op.delta_t))
 
@@ -546,6 +565,16 @@ def test_design_stack_promotion_keeps_configured_stack(tmp_path):
     assert stack.inter_tier_dielectric == "sio2"
     assert stack.substrate_thickness == 150.0
     assert [t.gap_below for t in stack.tiers] == [25.0, 7.0, 7.0, 7.0]
+    assert [t.polarity for t in stack.tiers] == ["n", "p", "n", "p"]
+
+
+def test_design_stack_demotion_keeps_configured_bottom_pair(tmp_path):
+    text = BASE_CONFIG.replace("tier_count = 2", "tier_count = 4\ntier_gap = 7nm\norder = nppn")
+    config = load_config(write_config(tmp_path, text))
+    stack, variant = cli._design_stack(config, "2tier")
+    assert variant == "bottom"
+    assert stack.tiers == config.stack.tiers[:2]
+    assert [t.polarity for t in stack.tiers] == ["n", "p"]
 
 
 @pytest.mark.parametrize("setting, key", [
@@ -621,13 +650,17 @@ def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch
     ("ambient = -5K", "ambient must be positive"),
     ("concentration = 0", "concentration must lie in (0, 1]"),
     ("concentration = 1.5", "concentration must lie in (0, 1]"),
+    ("top_h = 0", "top_h must be positive"), ("top_h = -1", "top_h must be positive"),
+    ("power = abc", "[thermal] power must be 'auto' or a non-negative wattage, got 'abc'"),
+    ("power = -1e-6", "[thermal] power must be 'auto' or a non-negative wattage"),
+    ("power = inf", "[thermal] power must be 'auto' or a non-negative wattage"),
 ])
 def test_cmd_thermal_bad_setting_rejected_at_load(tmp_path, monkeypatch, capsys, setting, message):
     def no_grid(*args, **kwargs):
         raise AssertionError("grid built for a bad [thermal] setting")
 
     monkeypatch.setattr(cli, "build_inverter_grid", no_grid)
-    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", f"power = 2e-6\n{setting}"))
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", setting))
     rc = cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "t")])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -642,3 +675,15 @@ def test_cmd_extract_bad_beol_size_names_the_key(tmp_path, capsys, beol, key):
     rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
     assert rc == 2
     assert f"{key} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beol, message", [
+    ("bpr_depth = -30nm", "bpr_depth must be non-negative, got -30.0"),
+    ("bpr_depth = 45nm", "bpr_depth + bpr_thickness must not exceed substrate_thickness "
+                         "60.0, got 65.0"),
+])
+def test_cmd_extract_bad_bpr_depth_names_the_key(tmp_path, capsys, beol, message):
+    path = write_config(tmp_path, BASE_CONFIG.replace("margin = 12nm", f"margin = 12nm\n{beol}"))
+    rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert message in capsys.readouterr().err

@@ -207,7 +207,7 @@ def test_context_field_scales_unit_rise(device_grid2, library):
 def test_she_one_way_coupling(device_grid2, library):
     p = fit_ion(CompactModelParams(alpha_mu=1e-12, alpha_vsat=0.0, k_vth=0.0, i0=1e-30),
                 2e-6, VDD)
-    op = she_operating_point(p, VDD, VDD, she_context(device_grid2, library, "tier1.channel"))
+    op = she_operating_point(p, VDD, she_context(device_grid2, library, "tier1.channel"))
     assert op.delta_t > 0.0
     assert op.ion_degradation == pytest.approx(0.0, abs=1e-4)
 
@@ -216,9 +216,9 @@ def test_she_stronger_pfet_hotter(device_grid2, library):
     pn = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
     pp = fit_ion(CompactModelParams(polarity="p", mu0=470.0, alpha_mu=1.5, k_vth=0.0),
                  1.6e-6 * 1.175, VDD)
-    op_n = she_operating_point(pn, VDD, VDD,
+    op_n = she_operating_point(pn, VDD,
                                she_context(device_grid2, library, "tier1.channel"))
-    op_p = she_operating_point(pp, -VDD, -VDD,
+    op_p = she_operating_point(pp, VDD,
                                she_context(device_grid2, library, "tier0.channel"))
     assert op_p.delta_t > op_n.delta_t
     assert op_p.ion_degradation > op_n.ion_degradation > 0.0
@@ -226,9 +226,9 @@ def test_she_stronger_pfet_hotter(device_grid2, library):
 
 def test_she_top_tier_hotter(device_grid4, library):
     p = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
-    op_b = she_operating_point(p, VDD, VDD,
+    op_b = she_operating_point(p, VDD,
                                she_context(device_grid4, library, "tier1.channel"))
-    op_t = she_operating_point(p, VDD, VDD,
+    op_t = she_operating_point(p, VDD,
                                she_context(device_grid4, library, "tier3.channel"))
     assert op_t.delta_t > op_b.delta_t
     assert op_t.ion_degradation > op_b.ion_degradation > 0.0
@@ -236,7 +236,7 @@ def test_she_top_tier_hotter(device_grid4, library):
 
 def test_she_residuals_decrease(device_grid2, library):
     p = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
-    op = she_operating_point(p, VDD, VDD,
+    op = she_operating_point(p, VDD,
                              she_context(device_grid2, library, "tier1.channel"))
     tail = op.residuals[1:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))

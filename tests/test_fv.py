@@ -30,19 +30,14 @@ def run_capacitance(grid, lib):
     extract_capacitance(grid, lib, ["A", "B"])
 
 
-def run_capacitance_shield(grid, lib):
-    extract_capacitance(grid, lib, ["A", "B"], shield=True)
-
-
 def run_conduction(grid, lib):
     faces = [f for f in boundary_port_faces(grid, "A") if f[1] == 0]
     terminals = {"a": [f for f in faces if f[2] == 0], "b": [f for f in faces if f[2] == 1]}
     extract_resistance(grid, lib, pairs=[("a", "b")], terminals=terminals)
 
 
-@pytest.mark.parametrize("run", [run_thermal, run_capacitance, run_capacitance_shield,
-                                 run_conduction],
-                         ids=["thermal", "capacitance", "capacitance-shield", "conduction"])
+@pytest.mark.parametrize("run", [run_thermal, run_capacitance, run_conduction],
+                         ids=["thermal", "capacitance", "conduction"])
 def test_constant_field_is_exact(run, monkeypatch):
     """A u = B u_fixed holds for u = 1 everywhere: no face is dropped or double counted."""
     systems = []

@@ -39,6 +39,13 @@ def test_device_spec_invariants():
         DeviceSpec(eot=7.0, sheet_thickness=6.0)
 
 
+@pytest.mark.parametrize("key", ["gate_length", "sheet_width", "sheet_thickness", "eot",
+                                 "spacer_thickness", "gate_metal_thickness"])
+def test_device_spec_names_the_bad_length(key):
+    with pytest.raises(ConfigurationError, match=f"^{key} must be positive, got 0.0$"):
+        DeviceSpec(**{key: 0.0})
+
+
 def test_stack_tier_count():
     with pytest.raises(ConfigurationError):
         default_stack(3)

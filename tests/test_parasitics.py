@@ -75,17 +75,6 @@ def test_capacitance_linear_in_permittivity(library):
     assert np.allclose(cm2.c, 2.0 * cm1.c, rtol=1e-9)
 
 
-def test_single_conductor_grounded_shield(library):
-    regions = [
-        Region(((-10, 20), (-10, 20), (-10, 20)), "sio2"),
-        Region(((0, 10), (0, 10), (0, 10)), "interconnect_metal", label="A"),
-    ]
-    grid = voxelize(regions, 2.5)
-    cm = extract_capacitance(grid, library, ["A"], tol=1e-11, shield=True)
-    assert cm.c[0, 0] > 0.0
-    assert cm.c.sum() > 0.0
-
-
 def test_maxwell_structure_validated():
     with pytest.raises(GeometryError):
         CapacitanceMatrix(["A", "B"], np.array([[1e-18, 1e-20], [1e-20, 1e-18]]))
