@@ -163,16 +163,19 @@ class RunConfig:
 
 
 def _coerce(section, key, unit, raw):
-    if unit == "int":
-        try:
+    """The typed value of `[section] key = raw`; a parse error names the key."""
+    try:
+        if unit == "int":
             return int(raw)
-        except ValueError:
-            raise ConfigurationError(f"[{section}] {key}: expected integer") from None
-    if unit == "bool":
-        return parse_bool(raw)
-    if unit == "str":
-        return raw.strip()
-    return parse_value(raw, unit)
+        if unit == "bool":
+            return parse_bool(raw)
+        if unit == "str":
+            return raw.strip()
+        return parse_value(raw, unit)
+    except ValueError:  # only int() raises it
+        raise ConfigurationError(f"[{section}] {key}: expected integer") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"[{section}] {key}: {exc}") from None
 
 
 def _parse_power(raw: str) -> str | float:
@@ -211,13 +214,13 @@ def load_config(path) -> RunConfig:
             for key, raw in cp[section].items():
                 if key not in _MATERIAL_FIELDS:
                     raise ConfigurationError(f"[{section}] unknown key {key!r}")
-                overrides[name][key] = parse_value(raw, "none")
+                overrides[name][key] = _coerce(section, key, "none", raw)
             continue
         if section not in _SCHEMA:
             raise ConfigurationError(f"unknown section [{section}]")
         for key, raw in cp[section].items():
             if section == "mesh" and key.startswith("refine."):
-                refinement[key[len("refine."):]] = parse_value(raw, "nm")
+                refinement[key[len("refine."):]] = _coerce(section, key, "nm", raw)
                 continue
             if key not in _SCHEMA[section]:
                 raise ConfigurationError(f"[{section}] unknown key {key!r}")

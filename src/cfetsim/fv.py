@@ -12,6 +12,11 @@ surface resistance (1/h for a convective face).
 matrix B with one column per fixed value, so that A u = B u_fixed + s
 for a source s. A is symmetric positive definite as soon as one fixed
 face touches every connected part of the active set.
+
+`solve_spd` solves it by conjugate gradients preconditioned with an
+aggregation-multigrid cycle (`multigrid`), built once per operator and
+reused for each of its right-hand sides. The iteration count does not
+grow as the mesh is refined.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ from scipy.sparse import linalg as spla
 from .errors import ConvergenceError
 
 NM = 1e-9  # grid coordinates are in nm
+MAX_ITER = 200  # CG iterations before a solve counts as stalled
+COARSEST = 3000  # unknowns at or below which the multigrid solves directly
+# smoother polynomial p(t) = C0 - C1 t: 1 - t p(t) is the Chebyshev T2 on
+# [2/30, 2] (centre 31/30, half-width 29/30), scaled to 1 at t = 0
+CHEB_C0, CHEB_C1 = 4 * 31 * 30 / 1081, 2 * 900 / 1081
 
 
 def _geometry(grid, axis):
@@ -129,21 +139,68 @@ def boundary_flux(b_mat, u: np.ndarray, u_fixed: np.ndarray) -> np.ndarray:
     return colsum * u_fixed - b_mat.T @ u
 
 
-def solve_spd(a_mat, rhs: np.ndarray, tol: float, grid, x0=None,
-              name: str = "linear solve") -> np.ndarray:
-    """Jacobi-preconditioned CG to relative residual `tol`.
+def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
+    """Aggregation-multigrid V(1,1) preconditioner for an `assemble` operator.
 
-    The iteration limit grows with the longest grid axis, along which
-    Jacobi-PCG needs the most iterations. A stall raises
+    Each coarser level aggregates the active cells of the 2x2x2 blocks of
+    the level below; the prolongation is piecewise constant on the
+    aggregates and the coarse operator the Galerkin product P^T A P.
+    Coarsening stops at `COARSEST` unknowns, which a sparse LU solves
+    exactly. Every level is a diagonally dominant M-matrix, so the
+    spectrum of D^-1 A lies in (0, 2] and the degree-2 Chebyshev smoother
+    targets [2/30, 2]. Pre- and post-smoother are the same polynomial, so
+    the cycle is symmetric and CG applies.
+    """
+    shape, dims = a_mat.shape, active.shape
+    coords = np.nonzero(active)  # C order, the dof order of `assemble`
+    levels = []  # (A, 1/diag A, aggregate of each unknown, aggregate count)
+    while a_mat.shape[0] > COARSEST:
+        dims = tuple((d + 1) // 2 for d in dims)
+        blocks, agg = np.unique(
+            np.ravel_multi_index(tuple(c // 2 for c in coords), dims), return_inverse=True)
+        coords = np.unravel_index(blocks, dims)
+        n, n_coarse = a_mat.shape[0], blocks.size
+        agg = agg.astype(a_mat.indices.dtype)  # the column indices of A P below
+        levels.append((a_mat, 1.0 / a_mat.diagonal(), agg, n_coarse))
+        # P^T (A P) with A P sharing the values and row pointers of A
+        p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
+        a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
+                                        shape=(n, n_coarse))
+    coarsest = spla.splu(a_mat.tocsc())
+    # the lambda holds the hierarchy without a reference cycle, so the
+    # hierarchy is freed with its last user, not at the next garbage collection
+    return spla.LinearOperator(shape, matvec=lambda b: _cycle(levels, coarsest, b), dtype=float)
+
+
+def _smooth(a, dinv, b, x=None):
+    """x + p(D^-1 A) D^-1 (b - A x), the Chebyshev smoother; x = None is 0."""
+    z = dinv * (b if x is None else b - a @ x)
+    step = CHEB_C0 * z - CHEB_C1 * dinv * (a @ z)
+    return step if x is None else x + step
+
+
+def _cycle(levels, coarsest, b):
+    """One V(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest."""
+    if not levels:
+        return coarsest.solve(b)
+    (a, dinv, agg, n_coarse), coarser = levels[0], levels[1:]
+    x = _smooth(a, dinv, b)
+    x += _cycle(coarser, coarsest, np.bincount(agg, b - a @ x, n_coarse))[agg]
+    return _smooth(a, dinv, b, x)
+
+
+def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,
+              name: str = "linear solve") -> np.ndarray:
+    """CG preconditioned by `precond` (a `multigrid`) to relative residual `tol`.
+
+    With the multigrid cycle the iteration count does not grow with the
+    mesh, so the fixed limit `MAX_ITER` is a real stall signal: it raises
     ConvergenceError naming the solve and carrying its residual.
     """
-    max_iter = 40 * max(grid.dims) + 2000
-    d = a_mat.diagonal()
-    precond = spla.LinearOperator(a_mat.shape, matvec=lambda v: v / d)
-    x, info = spla.cg(a_mat, rhs, x0=x0, rtol=tol, atol=0.0, maxiter=max_iter, M=precond)
+    x, info = spla.cg(a_mat, rhs, x0=x0, rtol=tol, atol=0.0, maxiter=MAX_ITER, M=precond)
     if info != 0:
         resid = float(np.linalg.norm(rhs - a_mat @ x) / max(np.linalg.norm(rhs), 1e-300))
         raise ConvergenceError(
-            f"{name} stalled after {max_iter} iterations (residual {resid:.3g})",
+            f"{name} stalled after {MAX_ITER} iterations (residual {resid:.3g})",
             residual=resid)
     return x

@@ -133,11 +133,12 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
             fixed.append((cells, fv.half_conductance(grid, eps, cells, axis),
                           cond_id[outer][m]))
     mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs)
+    precond = fv.multigrid(mat, domain)  # one hierarchy for every right-hand side
 
     phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
     rhs = coupling @ phi_fixed
     phi = np.column_stack([
-        fv.solve_spd(mat, rhs[:, i], tol, grid, name=f"capacitance solve {name}")
+        fv.solve_spd(mat, rhs[:, i], tol, precond, name=f"capacitance solve {name}")
         for i, name in enumerate(conductors)])
     # Gauss sums: c_raw[i, j] is the charge on conductor j in solve i
     c_raw = fv.boundary_flux(coupling, phi, phi_fixed).T

@@ -108,6 +108,7 @@ class ThermalOperator:
     grid: VoxelGrid
     ambient: float
     cell_volumes_m3: np.ndarray
+    precond: sparse.linalg.LinearOperator  # fv.multigrid of `matrix`
 
 
 def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> ThermalOperator:
@@ -125,18 +126,21 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
         g = fv.half_conductance(grid, k, cells, axis, r_surface)
         sinks.append((cells, g, len(temps)))
         temps.append(face.t)
-    mat, boundary = fv.assemble(grid, k, np.ones(grid.dims, dtype=bool), sinks, len(temps))
+    everywhere = np.ones(grid.dims, dtype=bool)
+    mat, boundary = fv.assemble(grid, k, everywhere, sinks, len(temps))
     wx, wy, wz = np.ix_(*(grid.widths(a) * NM for a in range(3)))
     vol = (wx * wy * wz).ravel()
-    return ThermalOperator(mat, boundary, np.array(temps), grid, bc.ambient, vol)
+    return ThermalOperator(mat, boundary, np.array(temps), grid, bc.ambient, vol,
+                           fv.multigrid(mat, everywhere))
 
 
 def solve_steady(op: ThermalOperator, sources: HeatSourceField,
                  tol: float = 1e-8) -> TemperatureField:
-    """Jacobi-preconditioned CG solve; deterministic for fixed inputs."""
+    """CG solve preconditioned by the operator's multigrid; deterministic for
+    fixed inputs at a fixed BLAS thread count."""
     b = op.boundary @ op.sink_temps + sources.q.ravel() * op.cell_volumes_m3
     x0 = np.full(op.matrix.shape[0], op.ambient)
-    x = fv.solve_spd(op.matrix, b, tol, op.grid, x0=x0, name="thermal solve")
+    x = fv.solve_spd(op.matrix, b, tol, op.precond, x0=x0, name="thermal solve")
     return TemperatureField(x.reshape(op.grid.dims), op.ambient)
 
 

@@ -687,3 +687,31 @@ def test_cmd_extract_bad_bpr_depth_names_the_key(tmp_path, capsys, beol, message
     rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE_CONFIG.replace("gate_length = 15nm", "gate_length = abc"),
+     "[device] gate_length: cannot parse 'abc' as a nm value"),
+    (BASE_CONFIG + "\n[materials.sio2]\nkappa = x\n",
+     "[materials.sio2] kappa: cannot parse 'x' as a none value"),
+    (BASE_CONFIG.replace("resolution = 4nm", "resolution = 4nm\nrefine.Input = fine"),
+     "[mesh] refine.Input: cannot parse 'fine' as a nm value"),
+], ids=["device", "materials", "refine"])
+def test_bad_number_names_section_and_key(tmp_path, capsys, text, message):
+    rc = cli.main(["extract", write_config(tmp_path, text), "--design", "2tier",
+                   "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cmd_thermal_unreachable_tol_stalls_at_the_fixed_cap(tmp_path, capsys):
+    # cg stops on its recursively updated residual, which keeps falling by
+    # about 0.4 decades per multigrid iteration after the true residual has
+    # levelled off near 5e-13; 1e-120 puts the stop beyond the fixed cap
+    text = BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntol = 1e-120")
+    path = write_config(tmp_path, text)
+    rc = cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "t")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "thermal solve stalled after 200 iterations (residual " in err
+    assert float(err.split("(residual ")[1].split(")")[0]) < 1e-9

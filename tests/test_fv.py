@@ -1,14 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import linalg as spla
 
-from cfetsim import fv
+from cfetsim import cli, fv
 from cfetsim.geometry import Region, voxelize
 from cfetsim.materials import default_library
 from cfetsim.parasitics import boundary_port_faces, extract_capacitance, extract_resistance
 from cfetsim.thermal import assemble, default_bc
 
 
-def two_material_grid():
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sample_2tier.ini"
+
+
+def two_material_grid(resolution=1.5):
     """Non-uniform grid: two dielectrics around a two-metal wire A and a plate B."""
     regions = [
         Region(((0, 20), (0, 10), (0, 10)), "sio2"),
@@ -17,7 +23,7 @@ def two_material_grid():
         Region(((8.5, 20), (3, 7), (2, 4)), "gate_metal", label="A"),
         Region(((3, 17), (2.5, 7.5), (6.5, 8.25)), "interconnect_metal", label="B"),
     ]
-    grid = voxelize(regions, 1.5)
+    grid = voxelize(regions, resolution)
     assert all(np.ptp(grid.widths(a)) > 0 for a in range(3))
     return grid
 
@@ -67,3 +73,67 @@ def test_boundary_flux_is_the_face_sum():
     u = np.random.default_rng(3).random(grid.n_cells)
     flux = fv.boundary_flux(b_mat, u, np.array([0.5]))
     assert flux[0] == pytest.approx((g * (0.5 - u[cells])).sum(), rel=1e-12)
+
+
+def recorded_multigrids(monkeypatch):
+    """Patch `fv.multigrid` to record the (A, preconditioner) of each hierarchy."""
+    built = []
+    real = fv.multigrid
+
+    def recording(a_mat, active):
+        built.append((a_mat, real(a_mat, active)))
+        return built[-1][1]
+
+    monkeypatch.setattr(fv, "multigrid", recording)
+    return built
+
+
+def one_multigrid(run, monkeypatch, resolution=0.6):
+    """The one hierarchy `run` builds; at 0.6 nm, 35 x 19 x 19 cells, above the
+    coarsening threshold."""
+    built = recorded_multigrids(monkeypatch)
+    run(two_material_grid(resolution), default_library())
+    [(a_mat, precond)] = built
+    return a_mat, precond
+
+
+@pytest.mark.parametrize("run", [run_thermal, run_capacitance], ids=["thermal", "capacitance"])
+def test_multigrid_solve_matches_direct(run, monkeypatch):
+    """Robin sink faces (thermal) and inactive conductor cells (capacitance)."""
+    a_mat, precond = one_multigrid(run, monkeypatch)
+    assert a_mat.shape[0] > fv.COARSEST
+    b = np.random.default_rng(5).random(a_mat.shape[0]) * a_mat.diagonal()
+    x = fv.solve_spd(a_mat, b, 1e-12, precond)
+    exact = spla.spsolve(a_mat.tocsc(), b)
+    assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("run", [run_thermal, run_capacitance], ids=["thermal", "capacitance"])
+def test_multigrid_cycle_is_symmetric(run, monkeypatch):
+    a_mat, precond = one_multigrid(run, monkeypatch)
+    x, y = np.random.default_rng(7).standard_normal((2, a_mat.shape[0]))
+    mx, my = precond @ x, precond @ y
+    assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+
+
+def test_small_system_preconditioner_is_the_direct_solve(monkeypatch):
+    a_mat, precond = one_multigrid(run_thermal, monkeypatch, 1.5)
+    assert a_mat.shape[0] <= fv.COARSEST
+    b = np.random.default_rng(9).random(a_mat.shape[0])
+    exact = spla.spsolve(a_mat.tocsc(), b)
+    assert np.linalg.norm(precond @ b - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_one_hierarchy_per_operator(tmp_path, monkeypatch):
+    """extract builds one; delay with parasitics and SHE one capacitance and one heat."""
+    built = recorded_multigrids(monkeypatch)
+    config = tmp_path / "run.ini"
+    config.write_text(SAMPLE_CONFIG.read_text().replace("resolution = 3nm", "resolution = 4nm")
+                      .replace("dt_fs = 5", "dt_fs = 10"))
+    assert cli.main(["extract", str(config), "--design", "2tier",
+                     "--out", str(tmp_path / "ex")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert cli.main(["delay", str(config), "--design", "2tier", "--parasitics", "on",
+                     "--she", "on", "--out", str(tmp_path / "delay")]) == 0
+    assert len(built) == 2
