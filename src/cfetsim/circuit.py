@@ -4,9 +4,17 @@ Modified nodal analysis with ground elimination and backward Euler time
 stepping. Ground is stamped as one more full row and column, which are
 then dropped (the indefinite admittance form), so no stamp branches on
 it. Capacitors are stamped as companion conductances C/dt with a history
-current; transistors are linearized every Newton iteration from finite
-differences of the compact model. Node counts stay below about a hundred
-here, so each Newton step is a dense solve.
+current; transistors are linearized every Newton iteration into
+companion conductances, as in SPICE2 (Nagel, UCB ERL-M520, 1975), here
+from forward differences of the compact model: three `drain_current`
+calls per transistor, on node voltages read as Python floats, which the
+model's scalar `math` body takes fastest.
+Closed-form gradients would save two of the three calls; they stay out
+for now because the benchmark in `perfbench/` counts model evaluations
+by wrapping `circuit.drain_current` and pins the step count, so that
+switch, and error-controlled steps, land with a change to the benchmark.
+Node counts stay below about a hundred here, so each Newton step is a
+dense solve.
 """
 
 from __future__ import annotations
@@ -167,7 +175,7 @@ class _Mna:
 
     def _device_stamps(self, x):
         """Nonlinear currents and their Jacobian at node voltages x."""
-        v = np.append(x, 0.0)  # ground at the last index
+        v = x.tolist() + [0.0]  # ground at the last index
         f = np.zeros(self.n + 1)
         j = np.zeros((self.n + 1, self.n + 1))
         h = 1e-6

@@ -20,6 +20,12 @@ non-negative k_vth heating strictly weakens the device, which is the
 feedback the self-heating loop needs; a negative k_vth can offset part
 of that at low overdrive. p-type devices reuse the n-type math under
 sign reflection.
+
+The expression is written once, in `math` on one bias point
+(`_forward_scalar`), in forms that cannot overflow at any bias: softplus
+as max(u, 0) + log1p(exp(-|u|)), the sigmoid split on the sign of u, and
+the leak factor as -expm1(-vds/phit). Array biases map that same body
+with `np.vectorize`; nothing else evaluates the model.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import expit
 
 from .errors import CalibrationError, ConfigurationError, CouplingDivergenceError
 from .materials import Material
@@ -85,49 +90,62 @@ class CompactModelParams:
             raise ConfigurationError("n_ss must be >= 1")
 
 
-def _forward_current(p: CompactModelParams, vgs, vds, t):
-    """n-type current for vds >= 0."""
+def _forward_scalar(p: CompactModelParams, vgs: float, vds: float, t: float) -> float:
+    """n-type current for vds >= 0 at one bias point."""
     phit = K_B * t / Q_E
     a = p.n_ss * phit
     vth = p.vth0 + p.k_vth * (t - T_REF)
     u = (vgs - vth) / a
-    v_q = a * np.logaddexp(0.0, u)  # softplus
+    e = math.exp(-abs(u))  # in (0, 1]: neither term below can overflow
+    v_q = a * (max(u, 0.0) + math.log1p(e))  # softplus
     mu = p.mu0 * 1e-4 * (t / T_REF) ** (-p.alpha_mu)  # m^2/(V s)
     vsat = p.vsat0 * (t / T_REF) ** (-p.alpha_vsat)
     esat_l = 2.0 * vsat * p.l_eff / mu  # V
     vdsat = v_q * esat_l / (v_q + esat_l)
-    vde = vdsat * np.tanh(np.divide(vds, vdsat, out=np.zeros_like(vdsat + vds),
-                                    where=vdsat > 0))
+    vde = vdsat * math.tanh(vds / vdsat) if vdsat > 0 else 0.0
     beta = mu * p.cox * p.w_eff / p.l_eff  # A/V^2
     i_core = beta * (v_q - 0.5 * vde) * vde / (1.0 + vde / esat_l)
-    i_leak = p.i0 * expit(u) * (1.0 - np.exp(-vds / phit))
+    sigmoid = 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
+    i_leak = p.i0 * sigmoid * -math.expm1(-vds / phit)
     return i_core + i_leak
 
 
-def _ncurrent(p, vgs, vds, t):
+def _ncurrent(p: CompactModelParams, vgs: float, vds: float, t: float) -> float:
     """Reverse bias swaps source and drain: the gate then sees vgs - vds."""
-    vgs = np.asarray(vgs, dtype=float)
-    vds = np.asarray(vds, dtype=float)
-    reverse = vds < 0
-    i = _forward_current(p, np.where(reverse, vgs - vds, vgs), np.abs(vds), t)
-    return np.where(reverse, -i, i)
+    if vds < 0:
+        return -_forward_scalar(p, vgs - vds, -vds, t)
+    return _forward_scalar(p, vgs, vds, t)
+
+
+# the array forms map the scalar bodies over the elements, so the model
+# expression exists once
+_forward_current = np.vectorize(_forward_scalar, otypes=[float], excluded={0})
+_array_ncurrent = np.vectorize(_ncurrent, otypes=[float], excluded={0})
 
 
 def drain_current(p: CompactModelParams, vgs, vds, t=T_REF):
-    """Drain current in A; scalar in, scalar out, arrays broadcast.
+    """Drain current in A; scalar in, Python float out, arrays broadcast.
 
     n-type convention: positive for vgs, vds > 0. p-type devices are
     evaluated by sign reflection, so a pFET carries negative current at
     negative bias. The reverse-bias branch swaps source and drain, which
     keeps the expression continuous through vds = 0.
+
+    The body is plain `math` on one bias point because a circuit
+    transient calls it three times per transistor per Newton iteration,
+    and numpy's per-call overhead made each such call about ten times
+    slower. Scalar biases (floats or numpy scalars) take that body
+    directly. If either bias is an `np.ndarray`, `np.vectorize` maps the
+    same body over the broadcast biases, and a 0-d result comes back as
+    a float.
     """
     if not t > 0:
         raise ConfigurationError("temperature must be positive")
-    if p.polarity == "p":
-        out = -_ncurrent(p, -np.asarray(vgs, dtype=float), -np.asarray(vds, dtype=float), t)
-    else:
-        out = _ncurrent(p, vgs, vds, t)
-    return out.item() if np.ndim(out) == 0 else out
+    s = -1.0 if p.polarity == "p" else 1.0
+    if isinstance(vgs, np.ndarray) or isinstance(vds, np.ndarray):
+        out = s * _array_ncurrent(p, s * np.asarray(vgs), s * np.asarray(vds), t)
+        return out.item() if out.ndim == 0 else out
+    return s * _ncurrent(p, s * float(vgs), s * float(vds), float(t))
 
 
 def _bias(p: CompactModelParams, v):

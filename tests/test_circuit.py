@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cfetsim import circuit, device
 from cfetsim.circuit import (
     Capacitor,
     Netlist,
@@ -12,6 +13,7 @@ from cfetsim.circuit import (
     Transistor,
     VSource,
     Waveform,
+    _Mna,
     build_inverter_netlist,
     electro_thermal_delay,
     inverter_experiment,
@@ -321,6 +323,33 @@ def test_spliced_netlist_separates_device_nodes(devices):
     assert "Gate" in nodes
     # rails without a parasitic resistor stay merged with the device node
     assert "Drain" not in nodes
+
+
+def test_device_stamps_evaluate_the_model_through_the_module_attribute(devices, monkeypatch):
+    """Three evaluations per transistor per stamp, each a call of
+    `circuit.drain_current`, which is what an outside counter wraps."""
+    pn, pp = devices
+    mna = _Mna(build_inverter_netlist(pn, pp, VDD, 1e-16, Stimulus()))
+    x = np.linspace(0.1, VDD, mna.n)
+    want = mna._device_stamps(x)
+    calls, bodies = [], []
+    forward = device._forward_scalar
+
+    def counted(*args):
+        calls.append(args)
+        return device.drain_current(*args)
+
+    def body(*args):
+        bodies.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(circuit, "drain_current", counted)
+    monkeypatch.setattr(device, "_forward_scalar", body)
+    got = mna._device_stamps(x)
+    assert len(mna.transistors) == 2
+    assert len(calls) == 3 * len(mna.transistors)
+    assert len(bodies) == len(calls)  # no model evaluation bypasses the attribute
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("kwargs, key", [

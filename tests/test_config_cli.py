@@ -715,3 +715,17 @@ def test_cmd_thermal_unreachable_tol_stalls_at_the_fixed_cap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "thermal solve stalled after 200 iterations (residual " in err
     assert float(err.split("(residual ")[1].split(")")[0]) < 1e-9
+
+
+def test_cmd_thermal_tol_below_rounding_exits_three(tmp_path, capsys):
+    # cg reports success on its recursive residual long before the cap, while
+    # the true residual stays near 5e-13: the true residual decides
+    text = BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntol = 1e-30")
+    path = write_config(tmp_path, text)
+    out = tmp_path / "t"
+    rc = cli.main(["thermal", path, "--device", "0:p", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "thermal solve cannot reach tolerance 1e-30: true residual " in err
+    assert 1e-30 < float(err.split("true residual ")[1].split()[0]) < 1e-9
+    assert not out.exists() or not any(out.iterdir())

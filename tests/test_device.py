@@ -138,6 +138,77 @@ def test_one_branch_current_equals_two_branch_exactly(polarity, t):
             assert got == two_branch_current(p, float(vg), float(vd), t), (vg, vd)
 
 
+def numpy_current(p, vgs, vds, t):
+    """The model as numpy array code: softplus by logaddexp, the sigmoid
+    by expit, the saturation clamp through a masked divide, both bias
+    branches through np.where."""
+    def forward(vgs, vds):
+        phit = K_B * t / Q_E
+        a = p.n_ss * phit
+        u = (vgs - (p.vth0 + p.k_vth * (t - 300.0))) / a
+        v_q = a * np.logaddexp(0.0, u)
+        mu = p.mu0 * 1e-4 * (t / 300.0) ** (-p.alpha_mu)
+        vsat = p.vsat0 * (t / 300.0) ** (-p.alpha_vsat)
+        esat_l = 2.0 * vsat * p.l_eff / mu
+        vdsat = v_q * esat_l / (v_q + esat_l)
+        vde = vdsat * np.tanh(np.divide(vds, vdsat, out=np.zeros_like(vdsat + vds),
+                                        where=vdsat > 0))
+        beta = mu * p.cox * p.w_eff / p.l_eff
+        core = beta * (v_q - 0.5 * vde) * vde / (1.0 + vde / esat_l)
+        return core + p.i0 * expit(u) * (1.0 - np.exp(-vds / phit))
+
+    def ncurrent(vgs, vds):
+        reverse = vds < 0
+        i = forward(np.where(reverse, vgs - vds, vgs), np.abs(vds))
+        return np.where(reverse, -i, i)
+
+    s = -1.0 if p.polarity == "p" else 1.0
+    return s * ncurrent(s * np.asarray(vgs, dtype=float), s * np.asarray(vds, dtype=float))
+
+
+GRID_T = [250.0, 300.0, 400.0, 600.0]
+GRID_BIAS = np.linspace(-1.0, 1.0, 21)  # both signs, and 0 exactly
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("t", GRID_T)
+def test_scalar_path_equals_array_path_bitwise(polarity, t):
+    p = CompactModelParams(polarity=polarity)
+    vgs, vds = np.meshgrid(GRID_BIAS, GRID_BIAS)
+    arr = drain_current(p, vgs, vds, t)
+    scalar = [drain_current(p, vg, vd, t) for vg, vd in zip(vgs.ravel().tolist(),
+                                                            vds.ravel().tolist())]
+    assert arr.tobytes() == np.array(scalar).reshape(arr.shape).tobytes()
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("t", GRID_T)
+def test_model_matches_numpy_expression(polarity, t):
+    p = CompactModelParams(polarity=polarity)
+    vgs, vds = np.meshgrid(GRID_BIAS, GRID_BIAS)
+    got = drain_current(p, vgs, vds, t)
+    want = numpy_current(p, vgs, vds, t)
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("vgs", [0.6, np.float64(0.6), np.array(0.6)])
+def test_scalar_inputs_return_python_float(vgs):
+    p = CompactModelParams()
+    got = drain_current(p, vgs, VDD, 300.0)
+    assert type(got) is float
+    assert got == drain_current(p, 0.6, VDD, 300.0)
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+def test_extreme_bias_stays_finite(polarity):
+    p = CompactModelParams(polarity=polarity)
+    for vg in (-50.0, 50.0):
+        for vd in (-50.0, 0.0, 50.0):
+            assert math.isfinite(drain_current(p, vg, vd, 1000.0)), (vg, vd)
+    vgs, vds = np.meshgrid([-50.0, 50.0], [-50.0, 0.0, 50.0])
+    assert np.isfinite(drain_current(p, vgs, vds, 1000.0)).all()
+
+
 def test_calibration_round_trip():
     rng = np.random.default_rng(42)
     for _ in range(4):
