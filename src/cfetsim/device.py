@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CalibrationError, ConfigurationError, CouplingDivergenceError
 from .materials import Material
@@ -153,6 +152,61 @@ def _bias(p: CompactModelParams, v):
     return -v if p.polarity == "p" else v
 
 
+def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
+            rtol: float = 4 * math.ulp(1.0), maxiter: int = 100) -> float:
+    """Root of f in [xa, xb] by Brent's method.
+
+    A step-for-step port of scipy.optimize.brentq (its brentq.c, after
+    Brent, "Algorithms for Minimization without Derivatives", 1973, ch. 4),
+    with its defaults and failures: ValueError when f(xa) and f(xb) have
+    the same sign or f returns NaN, RuntimeError after maxiter iterations.
+    Given the same f it returns the same float, bit for bit.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def current_magnitude(p: CompactModelParams, vgs_mag, vds_mag, t=T_REF) -> float:
     return abs(drain_current(p, _bias(p, vgs_mag), _bias(p, vds_mag), t))
 
@@ -168,7 +222,7 @@ def threshold_voltage(p: CompactModelParams, vdd: float) -> float:
     f = lambda v: current_magnitude(p, v, vdd) - icrit
     if f(lo) > 0 or f(hi) < 0:
         raise CalibrationError("threshold criterion outside sweep range", stage="vth")
-    return float(brentq(f, lo, hi, xtol=1e-9))
+    return _brentq(f, lo, hi, xtol=1e-9)
 
 
 def subthreshold_swing(p: CompactModelParams, vdd: float) -> float:
@@ -216,7 +270,7 @@ def _fit_stage(p: CompactModelParams, name: str, target: float,
     if fa * fb > 0:
         x = a if abs(fa) <= abs(fb) else b
     else:
-        x = brentq(g, a, b, xtol=1e-12, rtol=1e-12)
+        x = _brentq(g, a, b, xtol=1e-12, rtol=1e-12)
     return replace(p, **{param: 10.0 ** x if log else float(x)})
 
 

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy import sparse
+from scipy.sparse import csgraph
 
+from . import fv
 from .errors import (
     ConfigurationError,
     GeometryError,
@@ -29,9 +31,6 @@ RAIL_NAMES = ("Input", "Output", "Power", "Ground")
 MAX_ASPECT = 50.0
 
 FILL_MARGIN = 15.0  # nm of dielectric fill around a bare device stack
-
-# Faces are checked with 6-connectivity throughout.
-FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -541,17 +540,44 @@ def voxelize(regions: list[Region], resolution: float,
     return VoxelGrid(x_edges, y_edges, z_edges, mat, lab, material_names, label_names)
 
 
+def face_components(labels: np.ndarray) -> np.ndarray:
+    """Face-connected components of equal labels, one index per cell.
+
+    Two face neighbours join when they carry the same label >= 0. Each
+    component gets its own index >= 0, in no particular order; cells with
+    a negative label get -1.
+    """
+    flat = np.arange(labels.size).reshape(labels.shape)
+    rows, cols = [], []
+    for axis in range(3):
+        lo, hi = fv.face_pairs(axis)
+        same = (labels[lo] == labels[hi]) & (labels[lo] >= 0)
+        rows.append(flat[lo][same])
+        cols.append(flat[hi][same])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(labels.size,) * 2)
+    _, parts = csgraph.connected_components(graph, directed=False)
+    return np.where(labels >= 0, parts.reshape(labels.shape), -1)
+
+
 def locate_conductors(grid: VoxelGrid) -> dict[str, np.ndarray]:
-    """Map every label to its flat cell indices, checking face connectivity."""
+    """Map every label to its flat cell indices, checking face connectivity.
+
+    One `face_components` pass covers all labels; a label whose cells
+    fall into more than one component raises IntegrityError.
+    """
+    parts = face_components(grid.label).ravel()
+    labelled = parts >= 0
+    _, first = np.unique(parts[labelled], return_index=True)
+    n_parts = np.bincount(grid.label.ravel()[labelled][first],
+                          minlength=len(grid.label_names))
     out = {}
     for code, name in enumerate(grid.label_names):
-        mask = grid.label == code
-        if not mask.any():
+        if n_parts[code] == 0:
             continue
-        _, n_parts = ndimage.label(mask, structure=FACE_STRUCT)
-        if n_parts != 1:
-            raise IntegrityError(f"conductor {name!r} splits into {n_parts} parts")
-        out[name] = np.flatnonzero(mask.ravel())
+        if n_parts[code] != 1:
+            raise IntegrityError(f"conductor {name!r} splits into {n_parts[code]} parts")
+        out[name] = np.flatnonzero(grid.label.ravel() == code)
     return out
 
 
@@ -569,7 +595,5 @@ def touching_labels(grid: VoxelGrid, name_a: str, name_b: str) -> bool:
     """True when cells of the two labels share at least one face."""
     a = grid.cells_of_label(name_a)
     b = grid.cells_of_label(name_b)
-    if not a.any() or not b.any():
-        return False
-    grown = ndimage.binary_dilation(a, structure=FACE_STRUCT)
-    return bool((grown & b).any())
+    return any((a[lo] & b[hi]).any() or (b[lo] & a[hi]).any()
+               for lo, hi in map(fv.face_pairs, range(3)))

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.sparse import linalg as spla
 
 from . import fv
@@ -34,7 +33,7 @@ from .errors import (
     GeometryError,
     RegionNotFoundError,
 )
-from .geometry import FACE_STRUCT, VoxelGrid, locate_conductors
+from .geometry import VoxelGrid, face_components, locate_conductors
 from .materials import Material, per_cell
 
 EPS0 = 8.8541878128e-12  # F/m
@@ -237,10 +236,10 @@ def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
     if not np.isfinite(rho[mask]).all():
         raise ConnectivityError(f"conductor {label_name!r} has non-metal cells")
 
-    parts, _ = ndimage.label(mask, structure=FACE_STRUCT)
-    part_a = {int(parts.ravel()[c]) for c, _, _ in faces_a}
-    part_b = {int(parts.ravel()[c]) for c, _, _ in faces_b}
-    if part_a != part_b or len(part_a) != 1 or 0 in part_a:
+    parts = face_components(np.where(mask, 0, -1)).ravel()
+    part_a = {int(parts[c]) for c, _, _ in faces_a}
+    part_b = {int(parts[c]) for c, _, _ in faces_b}
+    if part_a != part_b or len(part_a) != 1 or -1 in part_a:
         raise ConnectivityError(
             f"terminals on {label_name!r} are not on one connected component")
 

@@ -1,5 +1,7 @@
 import errno
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -337,6 +339,25 @@ def test_cmd_compare_reports_unmatched_elements(tmp_path, capsys):
     assert out.read_text() == "element,base,variant,ratio\nR_a_b,2.0,4.0,2.00\n"
     assert cli.main(["compare", "--base", str(a), "--variant", str(a), "--out", str(out)]) == 0
     assert "unmatched" not in capsys.readouterr().out
+
+
+def test_cli_runs_without_ndimage_or_optimize(tmp_path):
+    # thermal, and delay with parasitics and SHE, reach every connectivity
+    # check and root find; a fresh interpreter shows what they import
+    path = write_config(tmp_path)
+    script = f"""
+import sys
+from cfetsim import cli
+assert cli.main(["thermal", {path!r}, "--device", "0:p", "--out", {str(tmp_path / "th")!r}]) == 0
+assert cli.main(["delay", {path!r}, "--design", "2tier", "--parasitics", "on", "--she", "on",
+                 "--out", {str(tmp_path / "de")!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith(("scipy.ndimage", "scipy.optimize"))))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cmd_delay_parasitics_increase_tp(tmp_path):

@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.special import expit
 
+from cfetsim import device
 from cfetsim.device import (
     K_B,
     Q_E,
     CompactModelParams,
     ThermalContext,
+    _brentq,
     _forward_current,
     calibrate,
     calibration_residuals,
@@ -330,3 +333,63 @@ def test_degradation_in_unit_interval_with_nonneg_coefficients():
 def test_threshold_and_swing_measures(nfet):
     assert 0.1 < threshold_voltage(nfet, VDD) < 0.6
     assert 59.0 < subthreshold_swing(nfet, VDD) < 120.0
+
+
+# scipy.optimize.brentq is the reference that device._brentq ports
+BRENT_FUNCTIONS = [
+    lambda x: x - 0.3,
+    lambda x: math.tanh(3.0 * (x - 0.2)),
+    lambda x: (x - 0.1) ** 3 - 0.05 * (x - 0.1),
+    lambda x: math.expm1(4.0 * (x + 0.4)),
+    lambda x: math.log(math.log1p(math.exp(8.0 * (x - 0.45))) / 1e-3),
+    lambda x: math.atan(2.0 * (x - 0.5)) + 0.3 * math.sin(5.0 * x),
+]
+BRENT_BRACKETS = [(-1.0, 2.75), (2.75, -1.0), (-3.0, 1.0), (0.05, 0.9), (0.3, 1.0)]
+# threshold_voltage, _fit_stage, and scipy's defaults
+BRENT_TOLS = [(1e-9, 4 * math.ulp(1.0)), (1e-12, 1e-12), (2e-12, 4 * math.ulp(1.0))]
+
+
+def brent_outcome(solver, f, a, b, **kw):
+    try:
+        return solver(f, a, b, **kw)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("xtol, rtol", BRENT_TOLS)
+@pytest.mark.parametrize("a, b", BRENT_BRACKETS)
+@pytest.mark.parametrize("k", range(len(BRENT_FUNCTIONS)))
+def test_brentq_equals_scipy_bitwise(k, a, b, xtol, rtol):
+    f = BRENT_FUNCTIONS[k]
+    for maxiter in (100, 4):
+        ref = brent_outcome(optimize.brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        got = brent_outcome(_brentq, f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        assert type(got) is type(ref) and got == ref
+
+
+def test_brentq_root_at_an_endpoint():
+    f = lambda x: x - 0.3
+    assert _brentq(f, 0.3, 1.0) == optimize.brentq(f, 0.3, 1.0) == 0.3
+    assert _brentq(f, -1.0, 0.3) == optimize.brentq(f, -1.0, 0.3) == 0.3
+
+
+def test_brentq_failures_match_scipy():
+    same_sign = lambda x: x * x + 1.0
+    nan_inside = lambda x: x - 1.0 if abs(x - 1.0) > 0.5 else math.nan
+    slow = lambda x: math.atan(x - 0.3)
+    for solver in (_brentq, optimize.brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(same_sign, -1.0, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            solver(nan_inside, 0.0, 3.0)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            solver(slow, -5.0, 9.0, maxiter=3)
+
+
+@pytest.mark.parametrize("seed", [CompactModelParams(),
+                                  CompactModelParams(polarity="p", mu0=470.0, vsat0=6e5)])
+def test_calibration_unchanged_under_scipy_brentq(seed, monkeypatch):
+    targets = {"vth": 0.30, "ss": 75.0, "ioff": 1e-10, "ion": 6.0e-5, "vdd": VDD}
+    ours = calibrate(targets, seed)
+    monkeypatch.setattr(device, "_brentq", optimize.brentq)
+    assert calibrate(targets, seed) == ours

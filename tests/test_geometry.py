@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from cfetsim import cli
 from cfetsim.config import load_config
@@ -18,8 +19,10 @@ from cfetsim.geometry import (
     DeviceSpec,
     Region,
     build_cfet_stack,
+    VoxelGrid,
     build_inverter_cell,
     default_stack,
+    face_components,
     locate_conductors,
     regions_csv,
     touching_labels,
@@ -269,3 +272,56 @@ def test_sample_inverter_regions_are_unchanged(design, digest):
     stack, variant = cli._design_stack(config, design)
     regions = build_inverter_cell(config.device, stack, config.beol, variant)
     assert hashlib.sha256(regions_csv(regions).encode()).hexdigest() == digest
+
+
+# scipy.ndimage with the 6-neighbour structure is the reference for the
+# face connectivity in geometry
+FACE = ndimage.generate_binary_structure(3, 1)
+
+
+def random_labels(seed, n_labels=3):
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(1, 10, size=3))
+    unlabelled = rng.random(shape) < rng.uniform(0.1, 0.8)
+    return np.where(unlabelled, -1, rng.integers(0, n_labels, size=shape))
+
+
+def ndimage_components(labels):
+    out = np.full(labels.shape, -1)
+    offset = 0
+    for code in np.unique(labels[labels >= 0]):
+        parts, n = ndimage.label(labels == code, structure=FACE)
+        out[parts > 0] = parts[parts > 0] - 1 + offset
+        offset += n
+    return out
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_face_components_match_ndimage_label(seed):
+    labels = random_labels(seed)
+    got, ref = face_components(labels), ndimage_components(labels)
+    assert np.array_equal(got < 0, ref < 0)
+    # the same partition: every component of one is exactly one of the other
+    pairs = np.unique(np.stack([got.ravel(), ref.ravel()]), axis=1)
+    assert pairs.shape[1] == np.unique(got).size == np.unique(ref).size
+
+
+def dilation_touching(grid, name_a, name_b):
+    a = grid.cells_of_label(name_a)
+    b = grid.cells_of_label(name_b)
+    if not a.any() or not b.any():
+        return False
+    return bool((ndimage.binary_dilation(a, structure=FACE) & b).any())
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_touching_labels_matches_dilation(seed):
+    names = ["a", "b", "c", "d", "absent"]
+    labels = random_labels(seed, n_labels=4)
+    edges = [np.arange(n + 1, dtype=float) for n in labels.shape]
+    grid = VoxelGrid(*edges, np.zeros(labels.shape, dtype=np.int16),
+                     labels.astype(np.int16), ["sio2"], names)
+    for i, a in enumerate(names):
+        for b in names[i + 1:]:
+            assert touching_labels(grid, a, b) == dilation_touching(grid, a, b)
+            assert touching_labels(grid, b, a) == dilation_touching(grid, a, b)
