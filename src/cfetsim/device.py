@@ -24,8 +24,8 @@ sign reflection.
 The expression is written once, in `math` on one bias point
 (`_forward_scalar`), in forms that cannot overflow at any bias: softplus
 as max(u, 0) + log1p(exp(-|u|)), the sigmoid split on the sign of u, and
-the leak factor as -expm1(-vds/phit). Array biases map that same body
-with `np.vectorize`; nothing else evaluates the model.
+the leak factor as -expm1(-vds/phit). `drain_current` takes scalar
+biases and returns a Python float; nothing else evaluates the model.
 """
 
 from __future__ import annotations
@@ -116,34 +116,21 @@ def _ncurrent(p: CompactModelParams, vgs: float, vds: float, t: float) -> float:
     return _forward_scalar(p, vgs, vds, t)
 
 
-# the array forms map the scalar bodies over the elements, so the model
-# expression exists once
-_forward_current = np.vectorize(_forward_scalar, otypes=[float], excluded={0})
-_array_ncurrent = np.vectorize(_ncurrent, otypes=[float], excluded={0})
-
-
-def drain_current(p: CompactModelParams, vgs, vds, t=T_REF):
-    """Drain current in A; scalar in, Python float out, arrays broadcast.
+def drain_current(p: CompactModelParams, vgs: float, vds: float, t: float = T_REF) -> float:
+    """Drain current in A at one bias point; scalar biases in, a Python float out.
 
     n-type convention: positive for vgs, vds > 0. p-type devices are
     evaluated by sign reflection, so a pFET carries negative current at
     negative bias. The reverse-bias branch swaps source and drain, which
     keeps the expression continuous through vds = 0.
 
-    The body is plain `math` on one bias point because a circuit
-    transient calls it three times per transistor per Newton iteration,
-    and numpy's per-call overhead made each such call about ten times
-    slower. Scalar biases (floats or numpy scalars) take that body
-    directly. If either bias is an `np.ndarray`, `np.vectorize` maps the
-    same body over the broadcast biases, and a 0-d result comes back as
-    a float.
+    The body is plain `math` because a circuit transient calls it three
+    times per transistor per Newton iteration, and numpy's per-call
+    overhead made each such call about ten times slower.
     """
     if not t > 0:
         raise ConfigurationError("temperature must be positive")
     s = -1.0 if p.polarity == "p" else 1.0
-    if isinstance(vgs, np.ndarray) or isinstance(vds, np.ndarray):
-        out = s * _array_ncurrent(p, s * np.asarray(vgs), s * np.asarray(vds), t)
-        return out.item() if out.ndim == 0 else out
     return s * _ncurrent(p, s * float(vgs), s * float(vds), float(t))
 
 

@@ -426,36 +426,17 @@ class VoxelGrid:
         wx, wy, wz = (self.widths(a) for a in range(3))
         return wx[:, None, None] * wy[None, :, None] * wz[None, None, :]
 
-    def material_code(self, name: str) -> int:
-        try:
-            return self.material_names.index(name)
-        except ValueError:
-            return -1
-
     def label_code(self, name: str) -> int:
         try:
             return self.label_names.index(name)
         except ValueError:
             return -1
 
-    def cells_of_material(self, name: str) -> np.ndarray:
-        code = self.material_code(name)
-        if code < 0:
-            return np.zeros(self.dims, dtype=bool)
-        return self.material == code
-
     def cells_of_label(self, name: str) -> np.ndarray:
         code = self.label_code(name)
         if code < 0:
             return np.zeros(self.dims, dtype=bool)
         return self.label == code
-
-    def material_volume(self, name: str) -> float:
-        return float(self.cell_volumes()[self.cells_of_material(name)].sum())
-
-    def used_material_names(self) -> list[str]:
-        codes = np.unique(self.material)
-        return [self.material_names[c] for c in codes if c >= 0]
 
 
 def _axis_edges(regions, axis, resolution, refinement):
@@ -589,11 +570,3 @@ def regions_csv(regions: list[Region]) -> str:
         lines.append(f"{r.label or ''},{r.material},"
                      f"{x0!r},{x1!r},{y0!r},{y1!r},{z0!r},{z1!r}")
     return "\n".join(lines) + "\n"
-
-
-def touching_labels(grid: VoxelGrid, name_a: str, name_b: str) -> bool:
-    """True when cells of the two labels share at least one face."""
-    a = grid.cells_of_label(name_a)
-    b = grid.cells_of_label(name_b)
-    return any((a[lo] & b[hi]).any() or (b[lo] & a[hi]).any()
-               for lo, hi in map(fv.face_pairs, range(3)))

@@ -66,9 +66,6 @@ class CapacitanceMatrix:
         if (self.c.sum(axis=1) < -1e-6 * scale).any():
             raise GeometryError("row sums must be non-negative")
 
-    def coupling(self, a: str, b: str) -> float:
-        return float(self.c[self.names.index(a), self.names.index(b)])
-
     def to_csv(self) -> str:
         lines = ["conductor," + ",".join(self.names)]
         for i, name in enumerate(self.names):
@@ -223,8 +220,10 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
         labels = {int(label_flat[c]) for c in cells_a | cells_b}
         if len(labels) != 1:
             raise ConnectivityError(f"terminals {a}/{b} span different conductors")
-        label_name = grid.label_names[labels.pop()]
-        r, mism = _conduction_solve(grid, materials, label_name,
+        code = labels.pop()
+        if code < 0:
+            raise ConnectivityError(f"terminals {a}/{b} lie on no labelled conductor")
+        r, mism = _conduction_solve(grid, materials, grid.label_names[code],
                                     terminals[a], terminals[b])
         entries.append(ResistanceEntry(a, b, r, mism))
     return ResistanceReport(entries)
@@ -302,12 +301,6 @@ class RatioRow:
 class RatioTable:
     rows: list[RatioRow]
     missing: list[str] = field(default_factory=list)
-
-    def ratio_of(self, element: str) -> float:
-        for row in self.rows:
-            if row.element == element:
-                return row.ratio
-        raise ComparisonError(f"no element {element!r} in the comparison")
 
     def to_csv(self) -> str:
         lines = ["element,base,variant,ratio"]

@@ -16,11 +16,10 @@ from scipy import sparse
 
 from . import fv
 from .errors import ConfigurationError, RegionNotFoundError, SingularSystemError
+from .fv import NM
 from .geometry import VoxelGrid
 from .materials import Material, per_cell
 from .output import atomic_write
-
-NM = 1e-9  # nm to m
 
 FACE_KEYS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
@@ -239,9 +238,3 @@ def _heatmap_vtk(fld, grid):
            "LOOKUP_TABLE default\n")
     for slab in fld.values.transpose():
         yield "\n".join(_reprs(slab)) + "\n"
-
-
-def parse_heatmap_csv(path) -> np.ndarray:
-    """Columns (x, y, z, T) back from a CSV heatmap, row order preserved."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return np.atleast_2d(data)

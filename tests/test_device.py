@@ -13,7 +13,6 @@ from cfetsim.device import (
     CompactModelParams,
     ThermalContext,
     _brentq,
-    _forward_current,
     calibrate,
     calibration_residuals,
     drain_current,
@@ -27,6 +26,10 @@ from cfetsim.errors import CalibrationError, ConfigurationError
 from cfetsim.thermal import FaceBC, ThermalBC, default_bc
 
 VDD = 0.75
+
+# the model takes one bias point; array tests map it over their grids
+array_current = np.vectorize(drain_current, otypes=[float], excluded={0})
+forward_current = np.vectorize(device._forward_scalar, otypes=[float], excluded={0})
 
 
 def reference_current(p, vgs, vds, t):
@@ -79,7 +82,7 @@ def test_hotter_means_weaker_above_threshold():
 def test_monotone_in_vgs():
     p = CompactModelParams()
     vgs = np.linspace(-0.2, 1.0, 400)
-    ids = drain_current(p, vgs, VDD, 300.0)
+    ids = array_current(p, vgs, VDD, 300.0)
     assert (np.diff(ids) > 0).all()
 
 
@@ -90,8 +93,8 @@ def test_continuity_across_blend():
     for vds in (0.05, VDD):
         for t in (300.0, 380.0):
             vgs = np.linspace(0.05, 0.65, 121)
-            d_plus = (drain_current(p, vgs + h, vds, t) - drain_current(p, vgs, vds, t)) / h
-            d_minus = (drain_current(p, vgs, vds, t) - drain_current(p, vgs - h, vds, t)) / h
+            d_plus = (array_current(p, vgs + h, vds, t) - array_current(p, vgs, vds, t)) / h
+            d_minus = (array_current(p, vgs, vds, t) - array_current(p, vgs - h, vds, t)) / h
             scale = np.maximum(np.abs(d_plus), np.abs(d_minus))
             assert (np.abs(d_plus - d_minus) <= 1e-6 * scale + 1e-30).all()
 
@@ -118,8 +121,8 @@ def test_polarity_sign_reflection():
 def two_branch_current(p, vgs, vds, t):
     """The model as it was: both bias branches evaluated, one of them kept."""
     def ncurrent(vgs, vds):
-        fwd = _forward_current(p, vgs, np.abs(vds), t)
-        rev = _forward_current(p, vgs - vds, np.abs(vds), t)
+        fwd = forward_current(p, vgs, np.abs(vds), t)
+        rev = forward_current(p, vgs - vds, np.abs(vds), t)
         return np.where(vds >= 0, fwd, -rev)
 
     vgs = np.asarray(vgs, dtype=float)
@@ -134,7 +137,7 @@ def test_one_branch_current_equals_two_branch_exactly(polarity, t):
     p = CompactModelParams(polarity=polarity)
     bias = np.append(np.linspace(-VDD, VDD, 30), 0.0)
     vgs, vds = np.meshgrid(bias, bias)
-    assert (drain_current(p, vgs, vds, t) == two_branch_current(p, vgs, vds, t)).all()
+    assert (array_current(p, vgs, vds, t) == two_branch_current(p, vgs, vds, t)).all()
     for vg in bias:
         for vd in bias:
             got = drain_current(p, float(vg), float(vd), t)
@@ -175,21 +178,10 @@ GRID_BIAS = np.linspace(-1.0, 1.0, 21)  # both signs, and 0 exactly
 
 @pytest.mark.parametrize("polarity", ["n", "p"])
 @pytest.mark.parametrize("t", GRID_T)
-def test_scalar_path_equals_array_path_bitwise(polarity, t):
-    p = CompactModelParams(polarity=polarity)
-    vgs, vds = np.meshgrid(GRID_BIAS, GRID_BIAS)
-    arr = drain_current(p, vgs, vds, t)
-    scalar = [drain_current(p, vg, vd, t) for vg, vd in zip(vgs.ravel().tolist(),
-                                                            vds.ravel().tolist())]
-    assert arr.tobytes() == np.array(scalar).reshape(arr.shape).tobytes()
-
-
-@pytest.mark.parametrize("polarity", ["n", "p"])
-@pytest.mark.parametrize("t", GRID_T)
 def test_model_matches_numpy_expression(polarity, t):
     p = CompactModelParams(polarity=polarity)
     vgs, vds = np.meshgrid(GRID_BIAS, GRID_BIAS)
-    got = drain_current(p, vgs, vds, t)
+    got = array_current(p, vgs, vds, t)
     want = numpy_current(p, vgs, vds, t)
     assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
@@ -209,7 +201,15 @@ def test_extreme_bias_stays_finite(polarity):
         for vd in (-50.0, 0.0, 50.0):
             assert math.isfinite(drain_current(p, vg, vd, 1000.0)), (vg, vd)
     vgs, vds = np.meshgrid([-50.0, 50.0], [-50.0, 0.0, 50.0])
-    assert np.isfinite(drain_current(p, vgs, vds, 1000.0)).all()
+    assert np.isfinite(array_current(p, vgs, vds, 1000.0)).all()
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("t", [0.0, -5.0])
+def test_nonpositive_temperature_rejected(polarity, t):
+    p = CompactModelParams(polarity=polarity)
+    with pytest.raises(ConfigurationError, match="temperature"):
+        drain_current(p, 0.6, VDD, t)
 
 
 def test_calibration_round_trip():

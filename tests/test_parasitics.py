@@ -58,7 +58,8 @@ def test_parallel_plate_capacitance(library):
     grid = plate_pair(gap, width)
     cm = extract_capacitance(grid, library, ["A", "B"], tol=1e-10)
     analytic = EPS0 * 3.9 * (width * NM) ** 2 / (gap * NM)
-    assert -cm.coupling("A", "B") == pytest.approx(analytic, rel=0.05)
+    c_ab = cm.c[cm.names.index("A"), cm.names.index("B")]
+    assert -c_ab == pytest.approx(analytic, rel=0.05)
 
 
 def test_capacitance_reciprocity(library):
@@ -132,6 +133,14 @@ def test_disconnected_terminals_raise(library):
     t2 = [f for f in boundary_port_faces(grid, "bar2") if f[1] == 0 and f[2] == 1]
     with pytest.raises(ConnectivityError):
         extract_resistance(grid, library, [("A", "B")], terminals={"A": t1, "B": t2})
+
+
+def test_terminals_on_unlabelled_cells_raise(library, inverter_grid2):
+    """Unlabelled cells carry label -1, which must not index the last label."""
+    cells = np.flatnonzero(inverter_grid2.label.ravel() < 0)[[0, -1]]
+    terms = {"A": [(int(cells[0]), 0, 0)], "B": [(int(cells[1]), 0, 1)]}
+    with pytest.raises(ConnectivityError, match="no labelled conductor"):
+        extract_resistance(inverter_grid2, library, [("A", "B")], terminals=terms)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +220,8 @@ def test_netlist_two_conductors_single_coupling(library):
     caps = [el for el in nl.elements if isinstance(el, Capacitor)]
     assert len(caps) == 1
     assert caps[0].name == "C_A_B"
-    assert caps[0].value == pytest.approx(-cm.coupling("A", "B"), rel=1e-12)
+    c_ab = cm.c[cm.names.index("A"), cm.names.index("B")]
+    assert caps[0].value == pytest.approx(-c_ab, rel=1e-12)
 
 
 def test_netlist_floor_prunes_and_reports(inverter_extraction):
@@ -265,14 +275,18 @@ TOP_4TIER = [
 ]
 
 
+def ratios(table):
+    return {r.element: r.ratio for r in table.rows}
+
+
 def test_compare_tiers_reference_rows():
     base = _table_netlist(BASE_2TIER)
-    bottom = compare_tiers(base, _table_netlist(BOTTOM_4TIER))
-    top = compare_tiers(base, _table_netlist(TOP_4TIER))
-    assert round(bottom.ratio_of("R_Ground_NSource"), 2) == 3.15
-    assert round(top.ratio_of("R_PSource_Power"), 2) == 10.60
-    assert round(bottom.ratio_of("C_Output_Gate"), 2) == 0.11
-    assert round(top.ratio_of("C_Output_Gate"), 2) == 0.07
+    bottom = ratios(compare_tiers(base, _table_netlist(BOTTOM_4TIER)))
+    top = ratios(compare_tiers(base, _table_netlist(TOP_4TIER)))
+    assert round(bottom["R_Ground_NSource"], 2) == 3.15
+    assert round(top["R_PSource_Power"], 2) == 10.60
+    assert round(bottom["C_Output_Gate"], 2) == 0.11
+    assert round(top["C_Output_Gate"], 2) == 0.07
 
 
 def test_compare_tiers_identity():
@@ -295,4 +309,4 @@ def test_compare_tiers_reports_misses():
     b = Netlist([Resistor("R_a_b", "a", "b", 3.0)])
     table = compare_tiers(a, b)
     assert table.missing == ["R_x_y"]
-    assert table.ratio_of("R_a_b") == pytest.approx(3.0)
+    assert ratios(table)["R_a_b"] == pytest.approx(3.0)
