@@ -254,14 +254,9 @@ def _stack_regions(spec: DeviceSpec, config: StackConfig, frames: list[_TierFram
 
 def wired_tiers(config: StackConfig, variant: str = "bottom") -> tuple[int, int]:
     """Tier indices (p_tier, n_tier) of the inverter pair to wire up."""
-    if config.tier_count == 2:
-        pair = (0, 1)
-    elif variant == "bottom":
-        pair = (0, 1)
-    elif variant == "top":
-        pair = (2, 3)
-    else:
+    if variant not in ("bottom", "top"):
         raise ConfigurationError(f"unknown inverter variant {variant!r}")
+    pair = (2, 3) if variant == "top" and config.tier_count == 4 else (0, 1)
     pols = {config.tiers[i].polarity for i in pair}
     if pols != {"n", "p"}:
         raise ConfigurationError(f"wired pair {pair} is not complementary")

@@ -215,6 +215,8 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
         for t in (a, b):
             if t not in terminals:
                 raise ConnectivityError(f"unknown terminal {t!r}")
+            if not terminals[t]:
+                raise ConnectivityError(f"terminal {t!r} has no faces")
         cells_a = {c for c, _, _ in terminals[a]}
         cells_b = {c for c, _, _ in terminals[b]}
         labels = {int(label_flat[c]) for c in cells_a | cells_b}

@@ -1,14 +1,16 @@
 """Steady-state heat conduction on a voxel grid.
 
 div(kappa grad T) + q = 0 on the finite-volume operator of `fv`. Each
-non-adiabatic outer face is one sink column of its coupling matrix: a
-Dirichlet face through the cell half conductance, a Robin face with
-1/h in series. The operator is symmetric positive definite as soon as
-one boundary face is a heat sink.
+outer face carries one heat-transfer coefficient h to the one ambient
+temperature, and each face with h > 0 is one sink column of its
+coupling matrix: the cell half conductance with 1/h in series, so
+h = inf holds the face at ambient. The operator is symmetric positive
+definite as soon as one face has h > 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,39 +27,34 @@ FACE_KEYS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
 
 @dataclass(frozen=True)
-class FaceBC:
-    kind: str  # dirichlet | adiabatic | robin
-    t: float = 300.0  # K: fixed temperature (dirichlet) or far-field (robin)
-    h: float = 0.0  # W/(m^2 K), robin only
-
-    def __post_init__(self):
-        if self.kind not in ("dirichlet", "adiabatic", "robin"):
-            raise ConfigurationError(f"unknown BC kind {self.kind!r}")
-        if self.kind == "robin" and not self.h > 0:
-            raise ConfigurationError("robin BC needs h > 0")
-
-
-@dataclass(frozen=True)
 class ThermalBC:
-    faces: dict[str, FaceBC]
+    """Heat-transfer coefficient h per face, W/(m^2 K), to one ambient in K.
+
+    h = 0 is adiabatic, h = inf holds the face at ambient and any other h
+    is convective to ambient. Every sink sits at ambient, so the field is
+    ambient plus a rise linear in the sources.
+    """
+
+    h: dict[str, float]
+    ambient: float
 
     def __post_init__(self):
-        if set(self.faces) != set(FACE_KEYS):
+        if set(self.h) != set(FACE_KEYS):
             raise ConfigurationError(f"BC must cover faces {FACE_KEYS}")
-        if all(f.kind == "adiabatic" for f in self.faces.values()):
+        if not all(h >= 0 for h in self.h.values()):
+            raise ConfigurationError(f"h must be >= 0 on every face, got {self.h}")
+        if not 0 < self.ambient < math.inf:
+            raise ConfigurationError(f"ambient must be positive and finite, got {self.ambient}")
+        if not any(self.h.values()):
             raise SingularSystemError("all faces adiabatic: steady problem is singular")
-
-    @property
-    def ambient(self) -> float:
-        return min(f.t for f in self.faces.values() if f.kind != "adiabatic")
 
 
 def default_bc(ambient: float = 300.0, top_h: float = 5e4) -> ThermalBC:
-    """Substrate bottom as a fixed-temperature sink, weak egress on top."""
-    faces = {k: FaceBC("adiabatic") for k in FACE_KEYS}
-    faces["z_min"] = FaceBC("dirichlet", t=ambient)
-    faces["z_max"] = FaceBC("robin", t=ambient, h=top_h)
-    return ThermalBC(faces)
+    """Substrate bottom held at ambient, weak egress on top."""
+    h = dict.fromkeys(FACE_KEYS, 0.0)
+    h["z_min"] = math.inf
+    h["z_max"] = top_h
+    return ThermalBC(h, ambient)
 
 
 # [thermal] setting -> (test, rule stated in the error)
@@ -103,7 +100,6 @@ class TemperatureField:
 class ThermalOperator:
     matrix: sparse.csr_matrix
     boundary: sparse.csr_matrix  # B: cell-to-sink conductances, one column per sink face
-    sink_temps: np.ndarray  # K, one per column of `boundary`
     grid: VoxelGrid
     ambient: float
     cell_volumes_m3: np.ndarray
@@ -114,22 +110,20 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
     """Build the conduction operator A with A T = q V + B T_sink."""
     k = per_cell(grid, materials, lambda m: m.kappa)
     idx = np.arange(grid.n_cells).reshape(grid.dims)
-    sinks, temps = [], []
+    sinks = []
     for j, key in enumerate(FACE_KEYS):
-        face = bc.faces[key]
-        if face.kind == "adiabatic":
+        h = bc.h[key]
+        if h == 0:
             continue
         axis, side = divmod(j, 2)
         cells = idx[fv.outer_face(axis, side)].ravel()
-        r_surface = 1.0 / face.h if face.kind == "robin" else 0.0
-        g = fv.half_conductance(grid, k, cells, axis, r_surface)
-        sinks.append((cells, g, len(temps)))
-        temps.append(face.t)
+        g = fv.half_conductance(grid, k, cells, axis, 1.0 / h)
+        sinks.append((cells, g, len(sinks)))
     everywhere = np.ones(grid.dims, dtype=bool)
-    mat, boundary = fv.assemble(grid, k, everywhere, sinks, len(temps))
+    mat, boundary = fv.assemble(grid, k, everywhere, sinks, len(sinks))
     wx, wy, wz = np.ix_(*(grid.widths(a) * NM for a in range(3)))
     vol = (wx * wy * wz).ravel()
-    return ThermalOperator(mat, boundary, np.array(temps), grid, bc.ambient, vol,
+    return ThermalOperator(mat, boundary, grid, bc.ambient, vol,
                            fv.multigrid(mat, everywhere))
 
 
@@ -137,7 +131,8 @@ def solve_steady(op: ThermalOperator, sources: HeatSourceField,
                  tol: float = 1e-8) -> TemperatureField:
     """CG solve preconditioned by the operator's multigrid; deterministic for
     fixed inputs at a fixed BLAS thread count."""
-    b = op.boundary @ op.sink_temps + sources.q.ravel() * op.cell_volumes_m3
+    ambient = np.full(op.boundary.shape[1], op.ambient)  # every sink
+    b = op.boundary @ ambient + sources.q.ravel() * op.cell_volumes_m3
     x0 = np.full(op.matrix.shape[0], op.ambient)
     x = fv.solve_spd(op.matrix, b, tol, op.precond, x0=x0, name="thermal solve")
     return TemperatureField(x.reshape(op.grid.dims), op.ambient)
@@ -151,9 +146,9 @@ def energy_balance(op: ThermalOperator, fld: TemperatureField,
                    sources: HeatSourceField) -> tuple[float, float, float]:
     """(power in, boundary flux out, relative mismatch) for a converged field."""
     p_in = sources.total_power
-    # fluxes of the rise over ambient: the same values without cancelling ~300 K
+    # the flux of the rise over ambient into the sinks, without cancelling ~300 K
     rise = fld.values.ravel() - op.ambient
-    p_out = -float(fv.boundary_flux(op.boundary, rise, op.sink_temps - op.ambient).sum())
+    p_out = float((op.boundary.T @ rise).sum())
     rel = abs(p_in - p_out) / max(abs(p_in), abs(p_out), 1e-30)
     return p_in, p_out, rel
 

@@ -45,7 +45,6 @@ from cfetsim.parasitics import (
 )
 from cfetsim.thermal import (
     FACE_KEYS,
-    FaceBC,
     HeatSourceField,
     ThermalBC,
     assemble,
@@ -155,10 +154,8 @@ def test_criterion_2_thermal_analytic_oracle(library):
         kappa = library["silicon_bulk"].kappa
         grid = voxelize([Region(((0.0, length), (0.0, 4.0), (0.0, 4.0)),
                                 "silicon_bulk")], length / n)
-        faces = {k: FaceBC("adiabatic") for k in FACE_KEYS}
-        faces["x_min"] = FaceBC("dirichlet", t=300.0)
-        faces["x_max"] = FaceBC("dirichlet", t=300.0)
-        op = assemble(grid, library, ThermalBC(faces))
+        h = dict.fromkeys(FACE_KEYS, 0.0) | {"x_min": math.inf, "x_max": math.inf}
+        op = assemble(grid, library, ThermalBC(h, 300.0))
 
         q = 1e18
         src = HeatSourceField(np.full(grid.dims, q), grid)

@@ -23,7 +23,7 @@ from cfetsim.device import (
     threshold_voltage,
 )
 from cfetsim.errors import CalibrationError, ConfigurationError
-from cfetsim.thermal import FaceBC, ThermalBC, default_bc
+from cfetsim.thermal import default_bc
 
 VDD = 0.75
 
@@ -259,14 +259,6 @@ def test_fit_ion_single_knob():
 
 def she_context(grid, library, region):
     return ThermalContext(grid, library, default_bc(), region)
-
-
-def test_context_rejects_sinks_at_different_temperatures(device_grid2, library):
-    faces = dict(default_bc().faces)
-    faces["z_max"] = FaceBC("robin", t=310.0, h=5e4)
-    ctx = ThermalContext(device_grid2, library, ThermalBC(faces), "tier0.channel")
-    with pytest.raises(ConfigurationError, match="one temperature"):
-        ctx.prepare()
 
 
 def test_context_field_scales_unit_rise(device_grid2, library):

@@ -149,6 +149,17 @@ def test_wired_tiers_variants():
         wired_tiers(stack, "middle")
 
 
+def test_wired_tiers_two_tier_stack(device_spec):
+    for variant in ("bottom", "top"):
+        assert wired_tiers(default_stack(2), variant) == (0, 1)
+        assert wired_tiers(default_stack(2, order="np"), variant) == (1, 0)
+    for tiers in (2, 4):
+        with pytest.raises(ConfigurationError, match="unknown inverter variant"):
+            wired_tiers(default_stack(tiers), "sideways")
+    with pytest.raises(ConfigurationError, match="unknown inverter variant"):
+        build_inverter_cell(device_spec, default_stack(2), BeolSpec(), "sideways")
+
+
 def test_voxelize_unit_cube():
     grid = voxelize([Region(((0, 10), (0, 10), (0, 10)), "sio2")], 1.0)
     assert grid.dims == (10, 10, 10)

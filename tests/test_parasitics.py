@@ -135,6 +135,17 @@ def test_disconnected_terminals_raise(library):
         extract_resistance(grid, library, [("A", "B")], terminals={"A": t1, "B": t2})
 
 
+@pytest.mark.parametrize("empty", ["A", "B", "both"])
+def test_terminal_without_faces_raises(library, empty):
+    grid = bar_grid()
+    terms = bar_end_terminals(grid)
+    for name in ("A", "B") if empty == "both" else (empty,):
+        terms[name] = []
+    first = "A" if empty == "both" else empty
+    with pytest.raises(ConnectivityError, match=f"terminal '{first}' has no faces"):
+        extract_resistance(grid, library, [("A", "B")], terminals=terms)
+
+
 def test_terminals_on_unlabelled_cells_raise(library, inverter_grid2):
     """Unlabelled cells carry label -1, which must not index the last label."""
     cells = np.flatnonzero(inverter_grid2.label.ravel() < 0)[[0, -1]]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from cfetsim.geometry import Region, VoxelGrid, voxelize
 from cfetsim.materials import Material, default_library
 from cfetsim.thermal import (
     FACE_KEYS,
-    FaceBC,
     HeatSourceField,
     TemperatureField,
     ThermalBC,
@@ -26,15 +27,17 @@ from cfetsim.thermal import (
 NM = 1e-9
 
 
+def sinks(ambient=300.0, **h):
+    """The named faces at the given h, every other face adiabatic."""
+    return ThermalBC(dict.fromkeys(FACE_KEYS, 0.0) | h, ambient)
+
+
 def all_dirichlet(t=300.0):
-    return ThermalBC({k: FaceBC("dirichlet", t=t) for k in FACE_KEYS})
+    return ThermalBC(dict.fromkeys(FACE_KEYS, math.inf), t)
 
 
 def bar_bc(t=300.0):
-    faces = {k: FaceBC("adiabatic") for k in FACE_KEYS}
-    faces["x_min"] = FaceBC("dirichlet", t=t)
-    faces["x_max"] = FaceBC("dirichlet", t=t)
-    return ThermalBC(faces)
+    return sinks(t, x_min=math.inf, x_max=math.inf)
 
 
 def uniform_source(grid, q):
@@ -48,7 +51,19 @@ def slab_grid(n=64, length=64.0, side=4.0, material="silicon_bulk"):
 
 def test_all_adiabatic_is_singular():
     with pytest.raises(SingularSystemError):
-        ThermalBC({k: FaceBC("adiabatic") for k in FACE_KEYS})
+        ThermalBC(dict.fromkeys(FACE_KEYS, 0.0), 300.0)
+
+
+@pytest.mark.parametrize("h", [-1.0, -math.inf, math.nan])
+def test_bc_rejects_negative_or_nan_h(h):
+    with pytest.raises(ConfigurationError, match="h must be"):
+        sinks(x_min=math.inf, z_max=h)
+
+
+@pytest.mark.parametrize("ambient", [0.0, -300.0, math.nan, math.inf])
+def test_bc_rejects_ambient_not_positive_and_finite(ambient):
+    with pytest.raises(ConfigurationError, match="ambient"):
+        sinks(ambient, x_min=math.inf)
 
 
 def test_interior_row_sums_vanish(library):
@@ -75,9 +90,7 @@ def test_interface_conductance_harmonic_mean():
     regions = [Region(((0, 1), (0, 1), (0, 1)), "a"),
                Region(((1, 2), (0, 1), (0, 1)), "b")]
     grid = voxelize(regions, 1.0)
-    faces = {k: FaceBC("adiabatic") for k in FACE_KEYS}
-    faces["x_min"] = FaceBC("dirichlet", t=300.0)
-    op = assemble(grid, lib, ThermalBC(faces))
+    op = assemble(grid, lib, sinks(x_min=math.inf))
     # face area 1 nm^2, half-widths 0.5 nm: g = A/(d1/k1 + d2/k2) = 1.6 * A/h * k_low
     expected = 1.6 * (1e-18 / 1e-9) * 1.0
     assert -op.matrix[0, 1] == pytest.approx(expected, rel=1e-12)
@@ -107,6 +120,45 @@ def test_1d_slab_analytic_profile(library):
     assert np.abs(profile - expected).max() / rise.max() < 0.01
     peak = q * length_m**2 / (8 * kappa)
     assert delta_t_max(fld) == pytest.approx(peak, rel=0.01)
+
+
+def test_1d_convective_face_analytic_profile(library):
+    """x_min held, x_max convective with h = kappa/L (Biot number 1).
+
+    T - T0 = x (c - q x / 2) / kappa with c = q L (1 + Bi/2) / (1 + Bi),
+    peak c^2 / (2 q kappa) at x = c / q = 3L/4: between the two-sided held
+    bar (q L^2 / 8 kappa) and the one-sided one (q L^2 / 2 kappa).
+    """
+    n, length = 64, 64.0
+    kappa = library["silicon_bulk"].kappa
+    grid = slab_grid(n, length)
+    length_m = length * NM
+    h = kappa / length_m
+    op = assemble(grid, library, sinks(x_min=math.inf, x_max=h))
+    q = 1e18
+    src = uniform_source(grid, q)
+    fld = solve_steady(op, src, tol=1e-12)
+    c = q * length_m * 1.5 / 2.0
+    peak = c**2 / (2 * q * kappa)
+    x = grid.centers(0) * NM
+    expected = 300.0 + x * (c - q * x / 2) / kappa
+    # second-order discretisation error: 1.1e-4 of the peak at 64 cells
+    assert np.abs(fld.values[:, 0, 0] - expected).max() / peak < 2e-4
+    assert delta_t_max(fld) == pytest.approx(peak, rel=2e-4)
+    assert energy_balance(op, fld, src)[2] < 1e-6
+
+
+def test_finite_h_converges_to_held_face(library):
+    grid = slab_grid(32)
+    src = uniform_source(grid, 1e18)
+    held = solve_steady(assemble(grid, library, bar_bc()), src, tol=1e-12)
+    gaps = []
+    for h in (1e10, 1e14, 1e18, 1e30):
+        op = assemble(grid, library, sinks(x_min=math.inf, x_max=h))
+        fld = solve_steady(op, src, tol=1e-12)
+        gaps.append(np.abs(fld.values - held.values).max() / delta_t_max(held))
+    assert all(b < a / 100 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-12
 
 
 def test_energy_balance_tight(library):
@@ -148,9 +200,7 @@ def test_discrete_maximum_principle(library):
 def test_sink_distance_monotonicity(library):
     """Source moved away from the single sink never cools the peak."""
     grid = slab_grid(32, 32.0)
-    faces = {k: FaceBC("adiabatic") for k in FACE_KEYS}
-    faces["x_min"] = FaceBC("dirichlet", t=300.0)
-    op = assemble(grid, library, ThermalBC(faces))
+    op = assemble(grid, library, sinks(x_min=math.inf))
     peaks = []
     for i in (4, 12, 20, 28):
         q = np.zeros(grid.dims)
