@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from . import circuit, device, geometry, netlist_io, parasitics, thermal
-from .config import RunConfig, device_targets, load_config, seed_params
+from .config import RunConfig, load_config
 from .errors import (
     CalibrationError,
     CfetSimError,
@@ -59,21 +59,19 @@ def build_inverter_grid(config: RunConfig, design: str):
 
 
 def calibrated_params(config: RunConfig, polarity: str):
-    seed = seed_params(config, polarity)
-    targets = device_targets(config, polarity)
+    seed, targets = config.seeds[polarity], config.targets[polarity]
     if targets is None:
-        return seed, None
+        return seed
     if set(targets) == {"ion", "vdd"}:
-        return device.fit_ion(seed, targets["ion"], targets["vdd"]), targets
-    return device.calibrate(targets, seed), targets
+        return device.fit_ion(seed, targets["ion"], targets["vdd"])
+    return device.calibrate(targets, seed)
 
 
 def _she_context(config: RunConfig, grid, tier: int):
     return device.ThermalContext(
-        grid=grid, materials=config.library(), bc=config.thermal_bc(),
-        device_region=f"tier{tier}.channel",
-        concentration=config.thermal["concentration"],
-        solver_tol=config.thermal["tol"])
+        grid=grid, materials=config.library, bc=config.bc,
+        device_region=f"tier{tier}.channel", concentration=config.concentration,
+        solver_tol=config.tol)
 
 
 def cmd_thermal(args) -> int:
@@ -92,9 +90,9 @@ def cmd_thermal(args) -> int:
     grid = build_inverter_grid(config, design)[0]
 
     ctx = _she_context(config, grid, tier)
-    power = config.thermal["power"]
+    power = config.power
     if power == "auto":
-        params, _ = calibrated_params(config, pol)
+        params = calibrated_params(config, pol)
         vdd = config.device.vdd
         power = device.she_operating_point(params, vdd, ctx, **config.she).id * vdd
 
@@ -119,12 +117,10 @@ def cmd_thermal(args) -> int:
 def extract_design(config: RunConfig, built):
     """Capacitance, resistance and the pruned netlist of a `build_inverter_grid` result."""
     grid, _, wired, _ = built
-    lib = config.library()
-    cmat = parasitics.extract_capacitance(grid, lib, list(geometry.RAIL_NAMES))
+    cmat = parasitics.extract_capacitance(grid, config.library, list(geometry.RAIL_NAMES))
     terms = parasitics.inverter_terminals(grid, wired)
-    rrep = parasitics.extract_resistance(grid, lib, terminals=terms)
-    nl, pruned = parasitics.to_netlist(cmat, rrep,
-                                       floor=config.experiment["parasitic_floor"])
+    rrep = parasitics.extract_resistance(grid, config.library, terminals=terms)
+    nl, pruned = parasitics.to_netlist(cmat, rrep, floor=config.parasitic_floor)
     return cmat, rrep, nl, pruned
 
 
@@ -159,11 +155,9 @@ def cmd_compare(args) -> int:
 
 def cmd_delay(args) -> int:
     config = load_config(args.config)
-    stim = config.stimulus()
-    nparams, _ = calibrated_params(config, "n")
-    pparams, _ = calibrated_params(config, "p")
+    nparams = calibrated_params(config, "n")
+    pparams = calibrated_params(config, "p")
     vdd = config.device.vdd
-    load_c = config.experiment["load_c"]
 
     built = None
     if args.parasitics == "on" or args.she == "on":
@@ -185,14 +179,14 @@ def cmd_delay(args) -> int:
         ctx_p.operator = ctx_n.operator  # one grid, one heat operator
         res = circuit.electro_thermal_delay(
             nparams, pparams, ctx_n=ctx_n, ctx_p=ctx_p,
-            vdd=vdd, parasitic_netlist=para, load_c=load_c, stimulus=stim,
+            vdd=vdd, parasitic_netlist=para, load_c=config.load_c, stimulus=config.stimulus,
             **config.she)
         result = res.result
         lines += [f"delta_t_n_K={float(res.delta_t['n'])!r}",
                   f"delta_t_p_K={float(res.delta_t['p'])!r}"]
     else:
         result = circuit.inverter_experiment(nparams, pparams, vdd, para,
-                                             load_c, stim)
+                                             config.load_c, config.stimulus)
     lines += [
         f"tp_without_ps={float(result.tp_without * 1e12)!r}",
         f"tp_with_ps={float(result.tp_with * 1e12)!r}",
@@ -211,7 +205,7 @@ def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     out = []
     for pol in ("n", "p"):
-        params, targets = calibrated_params(config, pol)
+        params, targets = calibrated_params(config, pol), config.targets[pol]
         out.append(f"[{pol}]")
         if targets is None:
             out.append("no targets configured, seed parameters kept")

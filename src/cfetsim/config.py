@@ -4,14 +4,18 @@ Sections mirror the module inputs: [device], [stack], [beol], [mesh],
 [thermal], [she], [experiment] plus per-material [materials.<name>]
 overrides. Values may carry the unit the key is declared in ("15nm",
 "0.75V", "300K"); bare numbers are taken as already being in that unit.
-Unknown sections or keys are rejected.
+Unknown sections or keys are rejected. A [device], [stack] or [beol] key
+left out takes the default of DeviceSpec, default_stack or BeolSpec, the
+one place each is written; the other sections' defaults are in _SCHEMA.
+`load_config` builds every object a command reads, so a bad value fails
+at load on every subcommand.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import materials as mat_mod
 from .circuit import Stimulus
@@ -51,39 +55,22 @@ def parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse {text!r} as a boolean")
 
 
-# key -> (unit-or-type, default); defaults of None mean "derived elsewhere".
 # The [device], [stack] and [beol] keys are the keyword arguments of
-# DeviceSpec, default_stack and BeolSpec.
+# DeviceSpec, default_stack and BeolSpec. load_config passes only the keys
+# the INI gives, so their defaults live in those constructors, not here.
+_SPEC_UNITS = {
+    "device": {"gate_length": "nm", "sheet_width": "nm", "sheet_thickness": "nm", "eot": "nm",
+               "spacer_thickness": "nm", "vdd": "V", "sd_extension": "nm",
+               "gate_metal_thickness": "nm"},
+    "stack": {"tier_count": "int", "tier_gap": "nm", "pair_gap": "nm", "standoff": "nm",
+              "substrate_thickness": "nm", "inter_tier_dielectric": "str", "order": "str"},
+    "beol": {"via_cross_section": "nm2", "metal_thickness": "nm", "mol_standoff": "nm",
+             "buried_power_rail": "bool", "bpr_depth": "nm", "bpr_thickness": "nm",
+             "conductor_material": "str", "margin": "nm"},
+}
+# key -> (unit-or-type, default) for the sections read here; a target
+# default of None means "not given".
 _SCHEMA = {
-    "device": {
-        "gate_length": ("nm", 15.0),
-        "sheet_width": ("nm", 16.0),
-        "sheet_thickness": ("nm", 6.0),
-        "eot": ("nm", 0.9),
-        "spacer_thickness": ("nm", 5.0),
-        "vdd": ("V", 0.75),
-        "sd_extension": ("nm", None),
-        "gate_metal_thickness": ("nm", 3.0),
-    },
-    "stack": {
-        "tier_count": ("int", 2),
-        "tier_gap": ("nm", 10.0),
-        "pair_gap": ("nm", None),
-        "standoff": ("nm", 20.0),
-        "substrate_thickness": ("nm", 200.0),
-        "inter_tier_dielectric": ("str", "interlayer_dielectric"),
-        "order": ("str", None),
-    },
-    "beol": {
-        "via_cross_section": ("nm2", 36.0),
-        "metal_thickness": ("nm", 20.0),
-        "mol_standoff": ("nm", 10.0),
-        "buried_power_rail": ("bool", True),
-        "bpr_depth": ("nm", 10.0),
-        "bpr_thickness": ("nm", 20.0),
-        "conductor_material": ("str", "interconnect_metal"),
-        "margin": ("nm", 20.0),
-    },
     "mesh": {
         "resolution": ("nm", 2.0),
         # plus dynamic refine.<label-or-material> keys
@@ -131,35 +118,32 @@ _SCHEMA = {
     },
 }
 
-_MATERIAL_FIELDS = {"kappa": "none", "eps_r": "none", "rho_e": "none"}
+_UNITS = {**_SPEC_UNITS, **{sec: {key: unit for key, (unit, _) in keys.items()}
+                            for sec, keys in _SCHEMA.items()}}
+_MATERIAL_FIELDS = ("kappa", "eps_r", "rho_e")
+_TARGET_KEYS = ("vth", "ss", "ioff", "ion")
 
 
 @dataclass
 class RunConfig:
+    """Every input a command reads, built and checked once by `load_config`."""
+
     device: DeviceSpec
     stack: StackConfig
     beol: BeolSpec
     mesh_resolution: float
     mesh_refinement: dict[str, float]
-    thermal: dict
-    she: dict
-    experiment: dict
-    material_overrides: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def library(self):
-        lib = mat_mod.default_library()
-        for name, fields in self.material_overrides.items():
-            for fname, value in fields.items():
-                lib = mat_mod.override(lib, name, fname, value)
-        return lib
-
-    def stimulus(self) -> Stimulus:
-        exp = self.experiment
-        return Stimulus(edge_ps=exp["edge_ps"], period_ps=exp["period_ps"],
-                        dt_fs=exp["dt_fs"])
-
-    def thermal_bc(self) -> ThermalBC:
-        return default_bc(ambient=self.thermal["ambient"], top_h=self.thermal["top_h"])
+    library: dict[str, mat_mod.Material]  # the default library with [materials.*] applied
+    bc: ThermalBC
+    concentration: float
+    tol: float  # heat-solve tolerance
+    power: str | float  # "auto" or watts
+    she: dict  # keyword arguments of the SHE loop
+    stimulus: Stimulus
+    seeds: dict[str, CompactModelParams]  # per polarity
+    targets: dict[str, dict[str, float] | None]  # per polarity, see _targets
+    load_c: float
+    parasitic_floor: float
 
 
 def _coerce(section, key, unit, raw):
@@ -193,6 +177,8 @@ def _parse_power(raw: str) -> str | float:
 
 
 def load_config(path) -> RunConfig:
+    """Parse the INI at `path` and build every run input from it, checking each
+    value that needs no built cell."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -202,68 +188,79 @@ def load_config(path) -> RunConfig:
     if not found:  # read() skips a path it cannot open, a directory too
         raise ConfigurationError(f"config file {path!r} does not exist or cannot be read")
 
-    values = {sec: dict((k, d) for k, (_, d) in keys.items())
-              for sec, keys in _SCHEMA.items()}
-    overrides: dict[str, dict[str, float]] = {}
-    refinement: dict[str, float] = {}
-
+    values = {sec: {} for sec in _SPEC_UNITS}
+    values.update((sec, {k: d for k, (_, d) in keys.items()}) for sec, keys in _SCHEMA.items())
+    library = mat_mod.default_library()
     for section in cp.sections():
         if section.startswith("materials."):
             name = section[len("materials."):]
-            overrides[name] = {}
             for key, raw in cp[section].items():
                 if key not in _MATERIAL_FIELDS:
                     raise ConfigurationError(f"[{section}] unknown key {key!r}")
-                overrides[name][key] = _coerce(section, key, "none", raw)
+                library = mat_mod.override(library, name, key,
+                                           _coerce(section, key, "none", raw))
             continue
-        if section not in _SCHEMA:
+        if section not in _UNITS:
             raise ConfigurationError(f"unknown section [{section}]")
         for key, raw in cp[section].items():
-            if section == "mesh" and key.startswith("refine."):
-                refinement[key[len("refine."):]] = _coerce(section, key, "nm", raw)
-                continue
-            if key not in _SCHEMA[section]:
+            refine = section == "mesh" and key.startswith("refine.")
+            unit = "nm" if refine else _UNITS[section].get(key)
+            if unit is None:
                 raise ConfigurationError(f"[{section}] unknown key {key!r}")
-            unit, _ = _SCHEMA[section][key]
             values[section][key] = _coerce(section, key, unit, raw)
 
+    mesh = values["mesh"]  # resolution and refine.<label-or-material> targets
+    for key, value in mesh.items():
+        if not value > 0:
+            raise ConfigurationError(f"[mesh] {key} must be positive, got {value}")
+    resolution = mesh.pop("resolution")
+    exp = values["experiment"]
     for key in ("load_c", "parasitic_floor"):
-        if values["experiment"][key] < 0:
-            raise ConfigurationError(
-                f"[experiment] {key} must be non-negative, got {values['experiment'][key]}")
+        if exp[key] < 0:
+            raise ConfigurationError(f"[experiment] {key} must be non-negative, got {exp[key]}")
     check_she_settings(**values["she"])
     th = values["thermal"]
     check_thermal_settings(ambient=th["ambient"], top_h=th["top_h"], tol=th["tol"],
                            concentration=th["concentration"])
-    th["power"] = _parse_power(th["power"])
+    spec = DeviceSpec(**values["device"])
     return RunConfig(
-        device=DeviceSpec(**values["device"]), stack=default_stack(**values["stack"]),
-        beol=BeolSpec(**values["beol"]),
-        mesh_resolution=values["mesh"]["resolution"], mesh_refinement=refinement,
-        thermal=values["thermal"], she=values["she"], experiment=values["experiment"],
-        material_overrides=overrides)
+        device=spec, stack=default_stack(**values["stack"]), beol=BeolSpec(**values["beol"]),
+        mesh_resolution=resolution,
+        mesh_refinement={k.removeprefix("refine."): v for k, v in mesh.items()},
+        library=library, bc=default_bc(th["ambient"], th["top_h"]),
+        concentration=th["concentration"], tol=th["tol"], power=_parse_power(th["power"]),
+        she=values["she"],
+        stimulus=Stimulus(edge_ps=exp["edge_ps"], period_ps=exp["period_ps"],
+                          dt_fs=exp["dt_fs"]),
+        seeds={pol: _seed(exp, spec, pol) for pol in "np"},
+        targets={pol: _targets(exp, pol, spec.vdd) for pol in "np"},
+        load_c=exp["load_c"], parasitic_floor=exp["parasitic_floor"])
 
 
-def device_targets(config: RunConfig, polarity: str) -> dict[str, float] | None:
+def _targets(exp: dict, polarity: str, vdd: float) -> dict[str, float] | None:
     """Four-target dict, an ion-only dict, or None when nothing is set."""
-    exp = config.experiment
-    values = {k: exp[f"{polarity}.{k}"] for k in ("vth", "ss", "ioff", "ion")}
+    values = {k: exp[f"{polarity}.{k}"] for k in _TARGET_KEYS}
     given = {k for k, v in values.items() if v is not None}
     if not given:
         return None
+    ion, ioff = values["ion"], values["ioff"]
     if given == {"ion"}:
-        return {"ion": values["ion"], "vdd": config.device.vdd}
-    if given == {"vth", "ss", "ioff", "ion"}:
-        values["vdd"] = config.device.vdd
-        return values
-    raise ConfigurationError(
-        f"[experiment] {polarity}.*: give all four targets, only ion, or none "
-        f"(got {sorted(given)})")
+        if not ion > 0:
+            raise ConfigurationError(
+                f"[experiment] {polarity}.ion must be positive, got {ion}")
+        return {"ion": ion, "vdd": vdd}
+    if given != set(_TARGET_KEYS):
+        raise ConfigurationError(
+            f"[experiment] {polarity}.*: give all four targets, only ion, or none "
+            f"(got {sorted(given)})")
+    if not ion > ioff > 0:
+        raise ConfigurationError(
+            f"[experiment] {polarity}.ion > {polarity}.ioff > 0 must hold, "
+            f"got ion = {ion}, ioff = {ioff}")
+    return {**values, "vdd": vdd}
 
 
-def seed_params(config: RunConfig, polarity: str) -> CompactModelParams:
-    exp = config.experiment
-    spec = config.device
+def _seed(exp: dict, spec: DeviceSpec, polarity: str) -> CompactModelParams:
     w_eff = 2.0 * (spec.sheet_width + spec.sheet_thickness) * 1e-9
     cox = 8.8541878128e-12 * 3.9 / (spec.eot * 1e-9)
     return CompactModelParams(

@@ -9,7 +9,7 @@ from scipy.sparse import linalg as spla
 
 from cfetsim import circuit, cli, device, fv, output, parasitics, thermal
 from cfetsim.config import load_config, parse_value
-from cfetsim.geometry import DeviceSpec, TierSpec, build_inverter_cell
+from cfetsim.geometry import BeolSpec, DeviceSpec, TierSpec, build_inverter_cell, default_stack
 from cfetsim.errors import ConfigurationError
 
 BASE_CONFIG = """
@@ -65,7 +65,15 @@ def test_load_config_defaults(tmp_path):
     assert config.device.sheet_width == 16.0  # untouched default
     assert config.stack.substrate_thickness == 60.0
     assert config.mesh_resolution == 4.0
-    assert config.thermal["power"] == 2e-6
+    assert config.power == 2e-6
+
+
+def test_empty_sections_load_to_the_constructor_defaults(tmp_path):
+    config = load_config(write_config(tmp_path, "[device]\n[stack]\n[beol]\n[experiment]\n"))
+    assert config.device == DeviceSpec()
+    assert config.stack == default_stack()
+    assert config.beol == BeolSpec()
+    assert config.stimulus == circuit.Stimulus()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -95,7 +103,7 @@ def test_load_config_unknown_section(tmp_path):
 def test_load_config_material_override(tmp_path):
     path = write_config(tmp_path, BASE_CONFIG + "\n[materials.sio2]\nkappa = 2.2\n")
     config = load_config(path)
-    assert config.library()["sio2"].kappa == 2.2
+    assert config.library["sio2"].kappa == 2.2
 
 
 def test_load_config_material_unknown_field(tmp_path):
@@ -457,7 +465,7 @@ def test_cmd_delay_she_assembles_heat_operator_once(tmp_path, monkeypatch):
     grid, _, (p_tier, n_tier), _ = cli.build_inverter_grid(config, "2tier")
     vdd = config.device.vdd
     for pol, tier in (("n", n_tier), ("p", p_tier)):
-        params, _ = cli.calibrated_params(config, pol)
+        params = cli.calibrated_params(config, pol)
         op = device.she_operating_point(params, vdd, cli._she_context(config, grid, tier),
                                         **config.she)
         assert report[f"delta_t_{pol}_K"] == repr(float(op.delta_t))
@@ -653,6 +661,41 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     assert rc == 2
     assert "edge_ps" in capsys.readouterr().err
     assert not calls
+
+
+@pytest.mark.parametrize("text, message", [
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nedge_ps = 15\nperiod_ps = 20"),
+     "edge_ps = 15.0 does not fit period_ps = 20.0"),
+    (BASE_CONFIG + "\n[materials.sio2]\nkappa = -1\n", "sio2: kappa must be positive"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.mu0 = -600"), "mu0 must be positive"),
+    (BASE_CONFIG.replace("n.ss = 75\n", ""), "[experiment] n.*: give all four targets"),
+    (BASE_CONFIG.replace("n.ioff = 1e-10", "n.ioff = 1e-3"),
+     "[experiment] n.ion > n.ioff > 0 must hold, got ion = 6e-05, ioff = 0.001"),
+    (BASE_CONFIG.replace("n.vth = 0.30V\nn.ss = 75\nn.ioff = 1e-10\nn.ion = 6.0e-5",
+                         "n.ion = -1e-5"),
+     "[experiment] n.ion must be positive, got -1e-05"),
+    (BASE_CONFIG.replace("resolution = 4nm", "resolution = 0nm"),
+     "[mesh] resolution must be positive, got 0.0"),
+    (BASE_CONFIG.replace("resolution = 4nm", "resolution = 4nm\nrefine.hfo2 = 0nm"),
+     "[mesh] refine.hfo2 must be positive, got 0.0"),
+], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
+        "resolution", "refine"])
+@pytest.mark.parametrize("command", [
+    ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
+    ["delay", "--design", "2tier"],
+], ids=lambda argv: argv[0])
+def test_bad_value_exits_two_on_every_command(tmp_path, monkeypatch, capsys, text, message,
+                                              command):
+    def never(*args, **kwargs):
+        raise AssertionError("grid built or device fitted for a bad config")
+
+    for module, name in ((cli, "build_inverter_grid"), (device, "calibrate"),
+                         (device, "fit_ion")):
+        monkeypatch.setattr(module, name, never)
+    path = write_config(tmp_path, text)
+    rc = cli.main([command[0], path, *command[1:], "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch, capsys):
