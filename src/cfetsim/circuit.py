@@ -421,9 +421,9 @@ class InverterResult:
 
 
 def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams,
-                        vdd: float = 0.75, parasitic_netlist: Netlist | None = None,
-                        load_c: float = 1e-16, stimulus: Stimulus = Stimulus(),
-                        t_n: float = 300.0, t_p: float = 300.0) -> InverterResult:
+                        vdd: float, parasitic_netlist: Netlist | None, load_c: float,
+                        stimulus: Stimulus, t_n: float = 300.0,
+                        t_p: float = 300.0) -> InverterResult:
     """Propagation delay with and without the spliced parasitic network."""
     base = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
                                   None, t_n, t_p)
@@ -446,9 +446,8 @@ class SheDelayResult:
     delta_t: dict[str, float]
 
 
-def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float = 0.75,
-                          parasitic_netlist=None, load_c: float = 1e-16,
-                          stimulus: Stimulus = Stimulus(), **loop) -> SheDelayResult:
+def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float, parasitic_netlist,
+                          load_c: float, stimulus: Stimulus, **loop) -> SheDelayResult:
     """Delays at self-heated channel temperatures (worst-case on-state bias).
 
     `loop` (`damping`, `tol_k`, `max_iter`) steers both fixed-point loops,

@@ -70,8 +70,7 @@ def calibrated_params(config: RunConfig, polarity: str):
 def _she_context(config: RunConfig, grid, tier: int):
     return device.ThermalContext(
         grid=grid, materials=config.library, bc=config.bc,
-        device_region=f"tier{tier}.channel", concentration=config.concentration,
-        solver_tol=config.tol)
+        device_region=f"tier{tier}.channel", **config.heat)
 
 
 def cmd_thermal(args) -> int:

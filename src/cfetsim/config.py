@@ -4,11 +4,12 @@ Sections mirror the module inputs: [device], [stack], [beol], [mesh],
 [thermal], [she], [experiment] plus per-material [materials.<name>]
 overrides. Values may carry the unit the key is declared in ("15nm",
 "0.75V", "300K"); bare numbers are taken as already being in that unit.
-Unknown sections or keys are rejected. A [device], [stack] or [beol] key
-left out takes the default of DeviceSpec, default_stack or BeolSpec, the
-one place each is written; the other sections' defaults are in _SCHEMA.
-`load_config` builds every object a command reads, so a bad value fails
-at load on every subcommand.
+Unknown sections or keys are rejected. A key left out takes the default
+of the library object that receives it, the one place each is written;
+only the run's own settings (resolution, power, load_c, parasitic_floor)
+and the pFET seed values have their defaults here. `load_config` builds
+every object a command reads, so a bad value fails at load on every
+subcommand, and its error names the section and key.
 """
 
 from __future__ import annotations
@@ -55,10 +56,15 @@ def parse_bool(text: str) -> bool:
     raise ConfigurationError(f"cannot parse {text!r} as a boolean")
 
 
-# The [device], [stack] and [beol] keys are the keyword arguments of
-# DeviceSpec, default_stack and BeolSpec. load_config passes only the keys
-# the INI gives, so their defaults live in those constructors, not here.
-_SPEC_UNITS = {
+# The unit or type of every key, written once. load_config passes only the
+# keys the INI gives to the object that takes them, so each default lives in
+# that object's signature alone: DeviceSpec, default_stack, BeolSpec,
+# default_bc ([thermal] ambient, top_h), ThermalContext (concentration, tol),
+# she_operating_point ([she]), Stimulus (edge_ps, period_ps, dt_fs) and
+# CompactModelParams (the n.* and p.* seeds).
+_TARGET_KEYS = ("vth", "ss", "ioff", "ion")
+_SEED_KEYS = ("mu0", "vsat0", "alpha_mu", "alpha_vsat", "k_vth", "c_g", "c_gd")
+_UNITS = {
     "device": {"gate_length": "nm", "sheet_width": "nm", "sheet_thickness": "nm", "eot": "nm",
                "spacer_thickness": "nm", "vdd": "V", "sd_extension": "nm",
                "gate_metal_thickness": "nm"},
@@ -67,61 +73,25 @@ _SPEC_UNITS = {
     "beol": {"via_cross_section": "nm2", "metal_thickness": "nm", "mol_standoff": "nm",
              "buried_power_rail": "bool", "bpr_depth": "nm", "bpr_thickness": "nm",
              "conductor_material": "str", "margin": "nm"},
+    "mesh": {"resolution": "nm"},  # plus refine.<label-or-material> keys
+    "thermal": {"ambient": "K", "top_h": "none", "concentration": "none", "tol": "none",
+                "power": "str"},
+    "she": {"damping": "none", "tol_k": "none", "max_iter": "int"},
+    "experiment": {"load_c": "none", "edge_ps": "none", "period_ps": "none", "dt_fs": "none",
+                   "parasitic_floor": "none",
+                   **{f"{pol}.{key}": "V" if key == "vth" else "none"
+                      for pol in "np" for key in (*_TARGET_KEYS, *_SEED_KEYS)}},
 }
-# key -> (unit-or-type, default) for the sections read here; a target
-# default of None means "not given".
-_SCHEMA = {
-    "mesh": {
-        "resolution": ("nm", 2.0),
-        # plus dynamic refine.<label-or-material> keys
-    },
-    "thermal": {
-        "ambient": ("K", 300.0),
-        "top_h": ("none", 5e4),
-        "concentration": ("none", 0.7),
-        "tol": ("none", 1e-8),
-        "power": ("str", "auto"),
-    },
-    "she": {
-        "damping": ("none", 0.5),
-        "tol_k": ("none", 0.01),
-        "max_iter": ("int", 100),
-    },
-    "experiment": {
-        "n.vth": ("V", None),
-        "n.ss": ("none", None),
-        "n.ioff": ("none", None),
-        "n.ion": ("none", None),
-        "p.vth": ("V", None),
-        "p.ss": ("none", None),
-        "p.ioff": ("none", None),
-        "p.ion": ("none", None),
-        "n.mu0": ("none", 600.0),
-        "p.mu0": ("none", 470.0),
-        "n.vsat0": ("none", 1.0e6),
-        "p.vsat0": ("none", 6.0e5),
-        "n.alpha_mu": ("none", 1.5),
-        "p.alpha_mu": ("none", 1.3),
-        "n.alpha_vsat": ("none", 0.4),
-        "p.alpha_vsat": ("none", 0.4),
-        "n.k_vth": ("none", -0.7e-3),
-        "p.k_vth": ("none", -0.7e-3),
-        "n.c_g": ("none", 5.0e-17),
-        "p.c_g": ("none", 5.0e-17),
-        "n.c_gd": ("none", 1.5e-17),
-        "p.c_gd": ("none", 1.5e-17),
-        "load_c": ("none", 1.0e-16),
-        "edge_ps": ("none", 1.0),
-        "period_ps": ("none", 20.0),
-        "dt_fs": ("none", 5.0),
-        "parasitic_floor": ("none", 1e-21),
-    },
+# The defaults no library signature holds: the run's own settings, and the
+# pFET seed values where they differ from CompactModelParams' nFET ones.
+# The calibration targets (n.vth ... p.ion) have none.
+_DEFAULTS = {
+    "mesh": {"resolution": 2.0},
+    "thermal": {"power": "auto"},
+    "experiment": {"load_c": 1.0e-16, "parasitic_floor": 1e-21,
+                   "p.mu0": 470.0, "p.vsat0": 6.0e5, "p.alpha_mu": 1.3},
 }
-
-_UNITS = {**_SPEC_UNITS, **{sec: {key: unit for key, (unit, _) in keys.items()}
-                            for sec, keys in _SCHEMA.items()}}
 _MATERIAL_FIELDS = ("kappa", "eps_r", "rho_e")
-_TARGET_KEYS = ("vth", "ss", "ioff", "ion")
 
 
 @dataclass
@@ -135,8 +105,7 @@ class RunConfig:
     mesh_refinement: dict[str, float]
     library: dict[str, mat_mod.Material]  # the default library with [materials.*] applied
     bc: ThermalBC
-    concentration: float
-    tol: float  # heat-solve tolerance
+    heat: dict  # keyword arguments of ThermalContext: concentration, tol
     power: str | float  # "auto" or watts
     she: dict  # keyword arguments of the SHE loop
     stimulus: Stimulus
@@ -176,20 +145,35 @@ def _parse_power(raw: str) -> str | float:
     return watts
 
 
+def _build(prefix: str, make, **kwargs):
+    """`make(**kwargs)`; an error that does not yet name its section gets
+    `prefix`, the section and, for a model seed, the polarity."""
+    try:
+        return make(**kwargs)
+    except ConfigurationError as exc:
+        msg = str(exc)
+        raise ConfigurationError(msg if msg.startswith("[") else prefix + msg) from None
+
+
+def _take(values: dict, *keys: str) -> dict:
+    return {k: values[k] for k in keys if k in values}
+
+
 def load_config(path) -> RunConfig:
     """Parse the INI at `path` and build every run input from it, checking each
     value that needs no built cell."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
-        found = cp.read(path)
+        found = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"config file {path!r} is not UTF-8 text") from None
     if not found:  # read() skips a path it cannot open, a directory too
         raise ConfigurationError(f"config file {path!r} does not exist or cannot be read")
 
-    values = {sec: {} for sec in _SPEC_UNITS}
-    values.update((sec, {k: d for k, (_, d) in keys.items()}) for sec, keys in _SCHEMA.items())
+    values = {sec: dict(_DEFAULTS.get(sec, {})) for sec in _UNITS}
     library = mat_mod.default_library()
     for section in cp.sections():
         if section.startswith("materials."):
@@ -218,20 +202,19 @@ def load_config(path) -> RunConfig:
     for key in ("load_c", "parasitic_floor"):
         if exp[key] < 0:
             raise ConfigurationError(f"[experiment] {key} must be non-negative, got {exp[key]}")
-    check_she_settings(**values["she"])
+    _build("[she] ", check_she_settings, **values["she"])
     th = values["thermal"]
-    check_thermal_settings(ambient=th["ambient"], top_h=th["top_h"], tol=th["tol"],
-                           concentration=th["concentration"])
-    spec = DeviceSpec(**values["device"])
+    power = _parse_power(th.pop("power"))
+    _build("[thermal] ", check_thermal_settings, **th)
+    spec = _build("[device] ", DeviceSpec, **values["device"])
     return RunConfig(
-        device=spec, stack=default_stack(**values["stack"]), beol=BeolSpec(**values["beol"]),
+        device=spec, stack=_build("[stack] ", default_stack, **values["stack"]),
+        beol=_build("[beol] ", BeolSpec, **values["beol"]),
         mesh_resolution=resolution,
         mesh_refinement={k.removeprefix("refine."): v for k, v in mesh.items()},
-        library=library, bc=default_bc(th["ambient"], th["top_h"]),
-        concentration=th["concentration"], tol=th["tol"], power=_parse_power(th["power"]),
-        she=values["she"],
-        stimulus=Stimulus(edge_ps=exp["edge_ps"], period_ps=exp["period_ps"],
-                          dt_fs=exp["dt_fs"]),
+        library=library, bc=default_bc(**_take(th, "ambient", "top_h")),
+        heat=_take(th, "concentration", "tol"), power=power, she=values["she"],
+        stimulus=_build("[experiment] ", Stimulus, **_take(exp, "edge_ps", "period_ps", "dt_fs")),
         seeds={pol: _seed(exp, spec, pol) for pol in "np"},
         targets={pol: _targets(exp, pol, spec.vdd) for pol in "np"},
         load_c=exp["load_c"], parasitic_floor=exp["parasitic_floor"])
@@ -239,7 +222,7 @@ def load_config(path) -> RunConfig:
 
 def _targets(exp: dict, polarity: str, vdd: float) -> dict[str, float] | None:
     """Four-target dict, an ion-only dict, or None when nothing is set."""
-    values = {k: exp[f"{polarity}.{k}"] for k in _TARGET_KEYS}
+    values = {k: exp.get(f"{polarity}.{k}") for k in _TARGET_KEYS}
     given = {k for k, v in values.items() if v is not None}
     if not given:
         return None
@@ -261,12 +244,9 @@ def _targets(exp: dict, polarity: str, vdd: float) -> dict[str, float] | None:
 
 
 def _seed(exp: dict, spec: DeviceSpec, polarity: str) -> CompactModelParams:
-    w_eff = 2.0 * (spec.sheet_width + spec.sheet_thickness) * 1e-9
-    cox = 8.8541878128e-12 * 3.9 / (spec.eot * 1e-9)
-    return CompactModelParams(
-        polarity=polarity,
-        mu0=exp[f"{polarity}.mu0"], vsat0=exp[f"{polarity}.vsat0"],
-        alpha_mu=exp[f"{polarity}.alpha_mu"], alpha_vsat=exp[f"{polarity}.alpha_vsat"],
-        k_vth=exp[f"{polarity}.k_vth"], c_g=exp[f"{polarity}.c_g"],
-        c_gd=exp[f"{polarity}.c_gd"],
-        w_eff=w_eff, l_eff=spec.gate_length * 1e-9, cox=cox)
+    """The polarity's model seed on the cell's channel geometry."""
+    given = {k: exp[f"{polarity}.{k}"] for k in _SEED_KEYS if f"{polarity}.{k}" in exp}
+    return _build(f"[experiment] {polarity}.", CompactModelParams, polarity=polarity, **given,
+                  w_eff=2.0 * (spec.sheet_width + spec.sheet_thickness) * 1e-9,
+                  l_eff=spec.gate_length * 1e-9,
+                  cox=8.8541878128e-12 * 3.9 / (spec.eot * 1e-9))

@@ -344,7 +344,7 @@ class ThermalContext:
     bc: ThermalBC
     device_region: str
     concentration: float = 0.7
-    solver_tol: float = 1e-8
+    tol: float = 1e-8  # heat-solve tolerance
 
     operator: ThermalOperator | None = field(default=None, init=False)
     r_mean: float = field(default=0.0, init=False)  # K/W channel-mean rise
@@ -360,7 +360,7 @@ class ThermalContext:
         if self.operator is None:
             self.operator = assemble(self.grid, self.materials, self.bc)
         unit = drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
-        fld = solve_steady(self.operator, unit, tol=self.solver_tol)
+        fld = solve_steady(self.operator, unit, tol=self.tol)
         rise = fld.values - self.bc.ambient
         mask = self.grid.cells_of_label(self.device_region)
         vols = self.grid.cell_volumes()
@@ -382,14 +382,21 @@ class ThermalContext:
         return TemperatureField(ambient + power * self._unit_rise, ambient)
 
 
-def check_she_settings(damping: float, tol_k: float, max_iter: int):
-    """Reject fixed-point settings the self-heating loop cannot run on."""
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0 < damping <= 1:
-        raise ConfigurationError(f"damping must lie in (0, 1], got {damping}")
-    if not tol_k > 0:
-        raise ConfigurationError(f"tol_k must be positive, got {tol_k}")
+# [she] setting -> (test, rule stated in the error)
+_SHE_RULES = {
+    "damping": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "tol_k": (lambda v: v > 0, "must be positive"),
+    "max_iter": (lambda v: v >= 1, "must be at least 1"),
+}
+
+
+def check_she_settings(**settings):
+    """Reject fixed-point settings (damping, tol_k, max_iter) the self-heating
+    loop cannot run on."""
+    for key, value in settings.items():
+        ok, rule = _SHE_RULES[key]
+        if not ok(value):
+            raise ConfigurationError(f"{key} {rule}, got {value}")
 
 
 def she_operating_point(p: CompactModelParams, vdd: float, ctx: ThermalContext,
@@ -397,7 +404,7 @@ def she_operating_point(p: CompactModelParams, vdd: float, ctx: ThermalContext,
                         max_iter: int = 100) -> OperatingPoint:
     """Damped fixed point between drain current and channel temperature,
     with the device fully on: |vgs| = |vds| = vdd."""
-    check_she_settings(damping, tol_k, max_iter)
+    check_she_settings(damping=damping, tol_k=tol_k, max_iter=max_iter)
     ctx.prepare()
     ambient = ctx.bc.ambient
     i_iso = current_magnitude(p, vdd, vdd, T_REF)

@@ -468,9 +468,11 @@ def voxelize(regions: list[Region], resolution: float,
     if not resolution > 0:
         raise GeometryError("resolution must be positive")
     refinement = dict(refinement or {})
-    for key in refinement:
+    for key, target in refinement.items():
         if not any(key in (r.label, r.material) for r in regions):
             raise RefinementError(f"refinement target {key!r} matches no region")
+        if not target > 0:
+            raise RefinementError(f"refinement target {key!r} must be positive, got {target}")
 
     for r in regions:
         key = r.label if r.label in refinement else r.material

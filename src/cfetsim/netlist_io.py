@@ -47,5 +47,8 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def read_netlist(path) -> Netlist:
-    with open(path) as f:
-        return parse_netlist(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            return parse_netlist(f.read())
+    except UnicodeDecodeError:
+        raise NetlistError(f"netlist {path!r} is not UTF-8 text") from None

@@ -263,7 +263,7 @@ def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
 
 
 def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,
-               floor: float = 1e-21) -> tuple[Netlist, list[tuple[str, float]]]:
+               floor: float) -> tuple[Netlist, list[tuple[str, float]]]:
     """Two-terminal elements from the extraction, couplings below floor pruned."""
     elements = []
     pruned = []

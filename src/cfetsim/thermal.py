@@ -128,7 +128,7 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
 
 
 def solve_steady(op: ThermalOperator, sources: HeatSourceField,
-                 tol: float = 1e-8) -> TemperatureField:
+                 tol: float) -> TemperatureField:
     """CG solve preconditioned by the operator's multigrid; deterministic for
     fixed inputs at a fixed BLAS thread count."""
     ambient = np.full(op.boundary.shape[1], op.ambient)  # every sink

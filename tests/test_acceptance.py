@@ -281,7 +281,7 @@ def extracted_netlists(library, device_spec):
         cm = extract_capacitance(grid, library, list(RAIL_NAMES), tol=1e-9)
         terms = inverter_terminals(grid, wired_tiers(stack, variant))
         rr = extract_resistance(grid, library, terminals=terms)
-        nl, _ = to_netlist(cm, rr)
+        nl, _ = to_netlist(cm, rr, floor=1e-21)
         out[design] = nl
     return out
 

@@ -9,6 +9,7 @@ from scipy.sparse import linalg as spla
 
 from cfetsim import circuit, cli, device, fv, output, parasitics, thermal
 from cfetsim.config import load_config, parse_value
+from cfetsim.device import CompactModelParams
 from cfetsim.geometry import BeolSpec, DeviceSpec, TierSpec, build_inverter_cell, default_stack
 from cfetsim.errors import ConfigurationError
 
@@ -69,11 +70,74 @@ def test_load_config_defaults(tmp_path):
 
 
 def test_empty_sections_load_to_the_constructor_defaults(tmp_path):
-    config = load_config(write_config(tmp_path, "[device]\n[stack]\n[beol]\n[experiment]\n"))
+    text = "[device]\n[stack]\n[beol]\n[thermal]\n[she]\n[experiment]\n"
+    config = load_config(write_config(tmp_path, text))
     assert config.device == DeviceSpec()
     assert config.stack == default_stack()
     assert config.beol == BeolSpec()
+    assert config.bc == thermal.default_bc()
+    assert config.heat == {}  # ThermalContext's concentration and tol
+    assert config.power == "auto"
+    assert config.she == {}  # she_operating_point's loop settings
     assert config.stimulus == circuit.Stimulus()
+    channel = {k: getattr(config.seeds["n"], k) for k in ("w_eff", "l_eff", "cox")}
+    assert config.seeds["n"] == CompactModelParams(**channel)
+    assert config.seeds["p"] == CompactModelParams(polarity="p", mu0=470.0, vsat0=6.0e5,
+                                                   alpha_mu=1.3, **channel)
+    assert config.targets == {"n": None, "p": None}
+    assert (config.mesh_resolution, config.load_c, config.parasitic_floor) == (2.0, 1e-16, 1e-21)
+
+
+# Every [thermal], [she] and [experiment] default, written out: a config that
+# gives these must run as one that leaves them to the library signatures.
+WRITTEN_DEFAULTS = """
+n.mu0 = 600
+p.mu0 = 470
+n.vsat0 = 1e6
+p.vsat0 = 6e5
+n.alpha_mu = 1.5
+p.alpha_mu = 1.3
+n.alpha_vsat = 0.4
+p.alpha_vsat = 0.4
+n.k_vth = -0.7e-3
+p.k_vth = -0.7e-3
+n.c_g = 5e-17
+p.c_g = 5e-17
+n.c_gd = 1.5e-17
+p.c_gd = 1.5e-17
+load_c = 1e-16
+edge_ps = 1
+period_ps = 20
+parasitic_floor = 1e-21
+
+[thermal]
+ambient = 300K
+top_h = 5e4
+concentration = 0.7
+tol = 1e-8
+power = auto
+
+[she]
+damping = 0.5
+tol_k = 0.01
+max_iter = 100
+"""
+
+
+def test_left_out_keys_run_as_the_written_defaults(tmp_path):
+    bare = BASE_CONFIG.replace("[thermal]\npower = 2e-6\n", "")
+    assert "[thermal]" not in bare and bare.rstrip().endswith("dt_fs = 10")
+    outputs = []
+    for name, text in (("bare", bare), ("written", bare + WRITTEN_DEFAULTS)):
+        path = write_config(tmp_path, text, f"{name}.ini")
+        out = tmp_path / name
+        assert cli.main(["thermal", path, "--device", "0:p", "--out", str(out / "th")]) == 0
+        assert cli.main(["delay", path, "--design", "2tier", "--she", "on",
+                         "--out", str(out / "de")]) == 0
+        outputs.append({f"{d}/{f}": (out / d / f).read_bytes()
+                        for d in ("th", "de") for f in os.listdir(out / d)})
+    assert len(outputs[0]) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_load_config_missing_file(tmp_path):
@@ -665,9 +729,10 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("text, message", [
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nedge_ps = 15\nperiod_ps = 20"),
-     "edge_ps = 15.0 does not fit period_ps = 20.0"),
+     "[experiment] edge_ps = 15.0 does not fit period_ps = 20.0"),
     (BASE_CONFIG + "\n[materials.sio2]\nkappa = -1\n", "sio2: kappa must be positive"),
-    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.mu0 = -600"), "mu0 must be positive"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.mu0 = -600"),
+     "[experiment] n.mu0 must be positive, got -600.0"),
     (BASE_CONFIG.replace("n.ss = 75\n", ""), "[experiment] n.*: give all four targets"),
     (BASE_CONFIG.replace("n.ioff = 1e-10", "n.ioff = 1e-3"),
      "[experiment] n.ion > n.ioff > 0 must hold, got ion = 6e-05, ioff = 0.001"),
@@ -678,8 +743,17 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[mesh] resolution must be positive, got 0.0"),
     (BASE_CONFIG.replace("resolution = 4nm", "resolution = 4nm\nrefine.hfo2 = 0nm"),
      "[mesh] refine.hfo2 must be positive, got 0.0"),
+    (BASE_CONFIG.replace("tier_count = 2", "tier_count = 3"),
+     "[stack] tier_count must be 2 or 4, got 3"),
+    (BASE_CONFIG.replace("vdd = 0.75V", "vdd = -1V"), "[device] vdd must be positive"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\np.vsat0 = 0"),
+     "[experiment] p.vsat0 must be positive, got 0.0"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 0"), "[experiment] dt_fs must be positive, got 0.0"),
+    (BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntop_h = 0"),
+     "[thermal] top_h must be positive, got 0.0"),
+    (BASE_CONFIG + "\n[she]\ndamping = 0\n", "[she] damping must lie in (0, 1], got 0.0"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
-        "resolution", "refine"])
+        "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping"])
 @pytest.mark.parametrize("command", [
     ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
     ["delay", "--design", "2tier"],
@@ -695,7 +769,30 @@ def test_bad_value_exits_two_on_every_command(tmp_path, monkeypatch, capsys, tex
     path = write_config(tmp_path, text)
     rc = cli.main([command[0], path, *command[1:], "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {message}")  # section named once
+
+
+def test_non_utf8_config_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(b"\xff" + BASE_CONFIG.encode())
+    rc = cli.main(["calibrate", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config file {str(path)!r} is not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["compare", "--base", "{bad}", "--variant", "{good}"],
+    ["delay", "{config}", "--design", "2tier", "--parasitics", "{bad}"],
+], ids=lambda argv: argv[0])
+def test_non_utf8_netlist_exits_two(tmp_path, capsys, command):
+    bad, good = tmp_path / "bad.sp", tmp_path / "good.sp"
+    bad.write_bytes(b"* caf\xe9\nR_a_b a b 1.0\n")
+    good.write_text("R_a_b a b 1.0\n")
+    paths = {"bad": str(bad), "good": str(good), "config": write_config(tmp_path)}
+    rc = cli.main([arg.format(**paths) for arg in command] + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"netlist {str(bad)!r} is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch, capsys):

@@ -198,6 +198,13 @@ def test_refinement_unknown_target():
         voxelize([base], 1.0, refinement={"nothing": 0.5})
 
 
+@pytest.mark.parametrize("target", [0.0, -1.0])
+def test_refinement_target_must_be_positive(device_spec, target):
+    regions = build_cfet_stack(device_spec, default_stack(2))
+    with pytest.raises(RefinementError, match=f"'hfo2' must be positive, got {target}"):
+        voxelize(regions, 3.0, refinement={"hfo2": target})
+
+
 def test_locate_conductors_inverter(inverter_grid2):
     conds = locate_conductors(inverter_grid2)
     for rail in RAIL_NAMES:

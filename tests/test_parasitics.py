@@ -227,7 +227,7 @@ def test_netlist_two_conductors_single_coupling(library):
     grid = plate_pair()
     cm = extract_capacitance(grid, library, ["A", "B"], tol=1e-10)
     rr = ResistanceReport([])
-    nl, pruned = to_netlist(cm, rr)
+    nl, pruned = to_netlist(cm, rr, floor=1e-21)
     caps = [el for el in nl.elements if isinstance(el, Capacitor)]
     assert len(caps) == 1
     assert caps[0].name == "C_A_B"
