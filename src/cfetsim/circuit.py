@@ -1,27 +1,27 @@
 """Transient simulation of R / C / source / transistor netlists.
 
 Modified nodal analysis with ground elimination and backward Euler time
-stepping. Ground is stamped as one more full row and column, which are
-then dropped (the indefinite admittance form), so no stamp branches on
-it. Capacitors are stamped as companion conductances C/dt with a history
-current; transistors are linearized every Newton iteration into
-companion conductances, as in SPICE2 (Nagel, UCB ERL-M520, 1975), here
-from forward differences of the compact model: three `drain_current`
-calls per transistor, on node voltages read as Python floats, which the
-model's scalar `math` body takes fastest.
-Closed-form gradients would save two of the three calls; they stay out
-for now because the benchmark in `perfbench/` counts model evaluations
-by wrapping `circuit.drain_current` and pins the step count, so that
-switch, and error-controlled steps, land with a change to the benchmark.
-Node counts stay below about a hundred here, so each Newton step is a
-dense solve.
+stepping. Ground is stamped as one more full row and column, which the
+linear solve leaves out (the indefinite admittance form), so no stamp
+branches on it; state vectors carry ground's zero volts last. Capacitors
+are stamped as companion conductances C/dt with a history current;
+transistors are linearized every Newton iteration into companion
+conductances, as in SPICE2 (Nagel, UCB ERL-M520, 1975), from the
+closed-form slopes the compact model returns with the current: one
+`drain_current` call per transistor, on node voltages read as Python
+floats, which the model's scalar `math` body takes fastest. The linear
+part G + C/dt and the history term are formed once per step, not per
+iteration. Node counts stay below about a hundred here, so each Newton
+step is a dense LAPACK solve.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.sparse import csgraph
 
 from .device import CompactModelParams, drain_current, she_operating_point
@@ -123,10 +123,16 @@ class Waveform:
             raise ConfigurationError("waveform times must be strictly increasing")
 
 
-def _pwl_value(pwl, t):
-    ts = [p[0] for p in pwl]
-    vs = [p[1] for p in pwl]
-    return float(np.interp(t, ts, vs))
+def _pwl_value(ts, vs, t):
+    """np.interp(t, ts, vs) for one t, bit for bit, without numpy's per-call
+    overhead: held at the end values, exact at each corner (the slope times
+    zero adds nothing while the slope is finite)."""
+    j = bisect.bisect_right(ts, t) - 1
+    if j < 0:
+        return vs[0]
+    if j == len(ts) - 1:
+        return vs[j]
+    return (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j]) * (t - ts[j]) + vs[j]
 
 
 def _stamp_pair(mat, i, j, g):
@@ -164,33 +170,33 @@ class _Mna:
             for node, sign in ((src.n1, 1.0), (src.n2, -1.0)):
                 g_full[row, idx[node]] += sign
                 g_full[idx[node], row] += sign
-        self.g_static = np.ascontiguousarray(g_full[:-1, :-1])
-        self.c_mat = np.ascontiguousarray(c_full[:-1, :-1])
+        # (n + 1)-sized, ground last: the solve takes the leading n x n block
+        self.g_full = g_full
+        self.c_full = c_full
+        self.pwls = [([p[0] for p in src.pwl], [p[1] for p in src.pwl])
+                     for src in self.vsources]
 
     def source_vector(self, t, scale=1.0):
-        s = np.zeros(self.n)
-        for k, src in enumerate(self.vsources):
-            s[self.nv + k] = scale * _pwl_value(src.pwl, t)
+        s = np.zeros(self.n + 1)
+        for k, (ts, vs) in enumerate(self.pwls):
+            s[self.nv + k] = scale * _pwl_value(ts, vs, t)
         return s
 
-    def _device_stamps(self, x):
-        """Nonlinear currents and their Jacobian at node voltages x."""
-        v = x.tolist() + [0.0]  # ground at the last index
-        f = np.zeros(self.n + 1)
-        j = np.zeros((self.n + 1, self.n + 1))
-        h = 1e-6
+    def _device_stamps(self, x, jac, f):
+        """Add each transistor's current to f and its slopes to jac at node
+        voltages x, one model evaluation per transistor."""
+        v = x.tolist()
         for tr, di, gi, si in self.transistors:
-            vgs, vds = v[gi] - v[si], v[di] - v[si]
-            i0 = drain_current(tr.params, vgs, vds, tr.temperature)
-            gm = (drain_current(tr.params, vgs + h, vds, tr.temperature) - i0) / h
-            gd = (drain_current(tr.params, vgs, vds + h, tr.temperature) - i0) / h
-            f[di] += i0
-            f[si] -= i0
-            for node_i, sign in ((di, 1.0), (si, -1.0)):
-                j[node_i, gi] += sign * gm
-                j[node_i, di] += sign * gd
-                j[node_i, si] += sign * (-gm - gd)
-        return f[:-1], j[:-1, :-1]
+            i, gm, gds = drain_current(tr.params, v[gi] - v[si], v[di] - v[si],
+                                       tr.temperature)
+            f[di] += i
+            f[si] -= i
+            jac[di, gi] += gm
+            jac[di, di] += gds
+            jac[di, si] -= gm + gds
+            jac[si, gi] -= gm
+            jac[si, di] -= gds
+            jac[si, si] += gm + gds
 
     def newton(self, x_prev, t, dt, source_scale=1.0):
         """Solve the BE step equations; dt=None means a DC solve.
@@ -198,27 +204,27 @@ class _Mna:
         Per-iteration updates are clamped to 0.3 V so the exponential
         device characteristics cannot throw the iteration into overflow.
         """
+        lin = self.g_full.copy()  # G + C/dt
+        rhs = self.source_vector(t, source_scale)
+        if dt is not None:
+            c_over_dt = self.c_full / dt
+            lin += c_over_dt
+            rhs += c_over_dt @ x_prev
         x = x_prev.copy()
-        c_over_dt = self.c_mat / dt if dt is not None else None
-        s = self.source_vector(t, source_scale)
         for _ in range(NEWTON_MAX_ITER):
-            f_nl, j_nl = self._device_stamps(x)
-            resid = self.g_static @ x + f_nl - s
-            jac = self.g_static + j_nl
-            if c_over_dt is not None:
-                resid = resid + c_over_dt @ (x - x_prev)
-                jac = jac + c_over_dt
-            try:
-                delta = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError:
-                raise NetlistError("singular MNA matrix") from None
-            x = x + np.clip(delta, -0.3, 0.3)
-            if np.max(np.abs(delta)) < ABSTOL:
+            jac = lin.copy()
+            resid = lin @ x - rhs
+            self._device_stamps(x, jac, resid)
+            _, _, delta, info = dgesv(jac[:-1, :-1], resid[:-1])
+            if info != 0:
+                raise NetlistError("singular MNA matrix")
+            x[:-1] -= delta.clip(-0.3, 0.3)
+            if abs(delta).max() < ABSTOL:
                 return x
         return None
 
     def dc_operating_point(self):
-        x = np.zeros(self.n)
+        x = np.zeros(self.n + 1)
         sol = self.newton(x, 0.0, None)
         if sol is not None:
             return sol

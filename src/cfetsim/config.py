@@ -200,8 +200,9 @@ def load_config(path) -> RunConfig:
     resolution = mesh.pop("resolution")
     exp = values["experiment"]
     for key in ("load_c", "parasitic_floor"):
-        if exp[key] < 0:
-            raise ConfigurationError(f"[experiment] {key} must be non-negative, got {exp[key]}")
+        if not 0 <= exp[key] < math.inf:
+            raise ConfigurationError(
+                f"[experiment] {key} must be non-negative and finite, got {exp[key]}")
     _build("[she] ", check_she_settings, **values["she"])
     th = values["thermal"]
     power = _parse_power(th.pop("power"))

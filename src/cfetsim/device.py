@@ -24,14 +24,17 @@ sign reflection.
 The expression is written once, in `math` on one bias point
 (`_forward_scalar`), in forms that cannot overflow at any bias: softplus
 as max(u, 0) + log1p(exp(-|u|)), the sigmoid split on the sign of u, and
-the leak factor as -expm1(-vds/phit). `drain_current` takes scalar
-biases and returns a Python float; nothing else evaluates the model.
+the leak factor as -expm1(-vds/phit). The same body returns the
+closed-form slopes gm = d id/d vgs and gds = d id/d vds by the chain rule
+through each of those steps, so a circuit Newton iteration linearizes a
+transistor with one evaluation. `drain_current` takes scalar biases and
+returns (id, gm, gds) as Python floats; nothing else evaluates the model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -79,6 +82,10 @@ class CompactModelParams:
     def __post_init__(self):
         if self.polarity not in ("n", "p"):
             raise ConfigurationError(f"polarity must be n or p, got {self.polarity!r}")
+        for f in fields(self)[1:]:  # every field after polarity, the first, is a float
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ConfigurationError(f"{f.name} must be finite, got {v}")
         positives = dict(mu0=self.mu0, vsat0=self.vsat0, c_g=self.c_g,
                          alpha_mu=self.alpha_mu, i0=self.i0,
                          w_eff=self.w_eff, l_eff=self.l_eff, cox=self.cox)
@@ -89,8 +96,9 @@ class CompactModelParams:
             raise ConfigurationError("n_ss must be >= 1")
 
 
-def _forward_scalar(p: CompactModelParams, vgs: float, vds: float, t: float) -> float:
-    """n-type current for vds >= 0 at one bias point."""
+def _forward_scalar(p: CompactModelParams, vgs: float, vds: float,
+                    t: float) -> tuple[float, float, float]:
+    """n-type (id, d id/d vgs, d id/d vds) for vds >= 0 at one bias point."""
     phit = K_B * t / Q_E
     a = p.n_ss * phit
     vth = p.vth0 + p.k_vth * (t - T_REF)
@@ -101,37 +109,61 @@ def _forward_scalar(p: CompactModelParams, vgs: float, vds: float, t: float) -> 
     vsat = p.vsat0 * (t / T_REF) ** (-p.alpha_vsat)
     esat_l = 2.0 * vsat * p.l_eff / mu  # V
     vdsat = v_q * esat_l / (v_q + esat_l)
-    vde = vdsat * math.tanh(vds / vdsat) if vdsat > 0 else 0.0
+    if vdsat > 0:
+        r = vds / vdsat
+        th = math.tanh(r)
+        vde = vdsat * th
+        sech2 = 1.0 - th * th  # d vde / d vds
+        # d vde / d vdsat; r is infinite when vdsat is subnormal, sech2 then 0
+        vde_sat = th - r * sech2 if sech2 > 0 else th
+    else:
+        vde = sech2 = vde_sat = 0.0
     beta = mu * p.cox * p.w_eff / p.l_eff  # A/V^2
-    i_core = beta * (v_q - 0.5 * vde) * vde / (1.0 + vde / esat_l)
+    den = 1.0 + vde / esat_l
+    i_core = beta * (v_q - 0.5 * vde) * vde / den
     sigmoid = 1.0 / (1.0 + e) if u >= 0 else e / (1.0 + e)
-    i_leak = p.i0 * sigmoid * -math.expm1(-vds / phit)
-    return i_core + i_leak
+    leak = -math.expm1(-vds / phit)
+    i_leak = p.i0 * sigmoid * leak
+    # slopes by the chain rule: d v_q / d vgs is the sigmoid, d sigmoid / d u
+    # is e / (1 + e)^2 on either side of u = 0
+    core_vde = beta * ((v_q - vde) - (v_q - 0.5 * vde) * vde / (esat_l * den)) / den
+    dvdsat = (esat_l / (v_q + esat_l)) ** 2
+    gm = sigmoid * (beta * vde / den + core_vde * vde_sat * dvdsat) \
+        + p.i0 * leak * e / ((1.0 + e) ** 2 * a)
+    gds = core_vde * sech2 + p.i0 * sigmoid * (1.0 - leak) / phit
+    return i_core + i_leak, gm, gds
 
 
-def _ncurrent(p: CompactModelParams, vgs: float, vds: float, t: float) -> float:
+def _ncurrent(p: CompactModelParams, vgs: float, vds: float,
+              t: float) -> tuple[float, float, float]:
     """Reverse bias swaps source and drain: the gate then sees vgs - vds."""
     if vds < 0:
-        return -_forward_scalar(p, vgs - vds, -vds, t)
+        i, gm, gds = _forward_scalar(p, vgs - vds, -vds, t)
+        return -i, -gm, gm + gds
     return _forward_scalar(p, vgs, vds, t)
 
 
-def drain_current(p: CompactModelParams, vgs: float, vds: float, t: float = T_REF) -> float:
-    """Drain current in A at one bias point; scalar biases in, a Python float out.
+def drain_current(p: CompactModelParams, vgs: float, vds: float,
+                  t: float = T_REF) -> tuple[float, float, float]:
+    """Drain current in A and its slopes gm = d id/d vgs and gds = d id/d vds
+    in A/V at one bias point; scalar biases in, three Python floats out.
 
     n-type convention: positive for vgs, vds > 0. p-type devices are
     evaluated by sign reflection, so a pFET carries negative current at
-    negative bias. The reverse-bias branch swaps source and drain, which
-    keeps the expression continuous through vds = 0.
+    negative bias; the reflection leaves the slopes' signs as they are.
+    The reverse-bias branch swaps source and drain, which keeps the
+    expression continuous through vds = 0.
 
-    The body is plain `math` because a circuit transient calls it three
-    times per transistor per Newton iteration, and numpy's per-call
-    overhead made each such call about ten times slower.
+    A circuit transient calls this once per transistor per Newton
+    iteration, for the current and the Jacobian stamps at once. The body
+    is plain `math` because numpy's per-call overhead made each such call
+    about ten times slower.
     """
     if not t > 0:
         raise ConfigurationError("temperature must be positive")
     s = -1.0 if p.polarity == "p" else 1.0
-    return s * _ncurrent(p, s * float(vgs), s * float(vds), float(t))
+    i, gm, gds = _ncurrent(p, s * float(vgs), s * float(vds), float(t))
+    return s * i, gm, gds
 
 
 def _bias(p: CompactModelParams, v):
@@ -195,7 +227,7 @@ def _brentq(f, xa: float, xb: float, xtol: float = 2e-12,
 
 
 def current_magnitude(p: CompactModelParams, vgs_mag, vds_mag, t=T_REF) -> float:
-    return abs(drain_current(p, _bias(p, vgs_mag), _bias(p, vds_mag), t))
+    return abs(drain_current(p, _bias(p, vgs_mag), _bias(p, vds_mag), t)[0])
 
 
 def threshold_voltage(p: CompactModelParams, vdd: float) -> float:

@@ -333,12 +333,19 @@ def test_spliced_netlist_separates_device_nodes(devices):
 
 
 def test_device_stamps_evaluate_the_model_through_the_module_attribute(devices, monkeypatch):
-    """Three evaluations per transistor per stamp, each a call of
-    `circuit.drain_current`, which is what an outside counter wraps."""
+    """One evaluation per transistor per stamp, since the model returns its
+    slopes with the current, each a call of `circuit.drain_current`, which
+    is what an outside counter wraps."""
     pn, pp = devices
     mna = _Mna(build_inverter_netlist(pn, pp, VDD, 1e-16, Stimulus()))
-    x = np.linspace(0.1, VDD, mna.n)
-    want = mna._device_stamps(x)
+    x = np.append(np.linspace(0.1, VDD, mna.n), 0.0)  # ground last
+
+    def stamps(x):
+        jac, f = np.zeros((mna.n + 1, mna.n + 1)), np.zeros(mna.n + 1)
+        mna._device_stamps(x, jac, f)
+        return jac, f
+
+    want = stamps(x)
     calls, bodies = [], []
     forward = device._forward_scalar
 
@@ -352,11 +359,52 @@ def test_device_stamps_evaluate_the_model_through_the_module_attribute(devices, 
 
     monkeypatch.setattr(circuit, "drain_current", counted)
     monkeypatch.setattr(device, "_forward_scalar", body)
-    got = mna._device_stamps(x)
+    got = stamps(x)
     assert len(mna.transistors) == 2
-    assert len(calls) == 3 * len(mna.transistors)
+    assert len(calls) == len(mna.transistors)
     assert len(bodies) == len(calls)  # no model evaluation bypasses the attribute
     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_device_stamps_are_the_jacobian_of_the_currents(devices):
+    """Each stamped column matches central differences of the stamped
+    currents in that node's voltage, ground's column included."""
+    pn, pp = devices
+    mna = _Mna(build_inverter_netlist(pn, pp, VDD, 1e-16, Stimulus()))
+    size = mna.n + 1
+
+    def stamps(x):
+        jac, f = np.zeros((size, size)), np.zeros(size)
+        mna._device_stamps(x, jac, f)
+        return jac, f
+
+    x = np.append(np.linspace(0.1, VDD, mna.n), 0.0)
+    jac = stamps(x)[0]
+    h = 1e-9
+    for k in range(size):
+        step = np.zeros(size)
+        step[k] = h
+        column = (stamps(x + step)[1] - stamps(x - step)[1]) / (2 * h)
+        assert np.abs(jac[:, k] - column).max() <= 1e-6 * np.abs(jac).max(), k
+    assert np.abs(jac).max() > 0
+
+
+def test_pwl_value_equals_numpy_interp_bitwise():
+    """The source interpolation returns np.interp's float, bit for bit: at
+    every step and half-step time of a transient, just before, at and just
+    after each corner, outside the ends, and for a one-point source."""
+    stim = Stimulus()
+    ts, vs = map(list, zip(*stim.pwl(VDD)))
+    steps = round(stim.tstop / stim.dt)
+    times = [k * stim.dt for k in range(steps + 1)]
+    times += [(k + 0.5) * stim.dt for k in range(steps)]
+    for corner in ts:
+        times += [math.nextafter(corner, -math.inf), corner, math.nextafter(corner, math.inf)]
+    times += [-1e-12, 2 * stim.tstop]
+    for t in times:
+        assert circuit._pwl_value(ts, vs, t).hex() == float(np.interp(t, ts, vs)).hex(), t
+    for t in (-1e-12, 0.0, 1e-12):
+        assert circuit._pwl_value([0.0], [VDD], t).hex() == float(np.interp(t, [0.0], [VDD])).hex()
 
 
 @pytest.mark.parametrize("kwargs, key", [

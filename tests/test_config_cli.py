@@ -432,6 +432,24 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.ndimage", "scipy.opt
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_delay_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The transient's dense solves give the same bytes on one BLAS thread
+    and on two; without parasitics the delay runs no CG solve."""
+    path = write_config(tmp_path)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+                   OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-m", "cfetsim.cli", "delay", path, "--design",
+                               "2tier", "--parasitics", "off", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(outputs[0]) == ["report.txt", "waveforms.csv", "waveforms_baseline.csv"]
+    assert outputs[0] == outputs[1]
+
+
 def test_cmd_delay_parasitics_increase_tp(tmp_path):
     path = write_config(tmp_path)
     para = tmp_path / "para.sp"
@@ -752,8 +770,17 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     (BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntop_h = 0"),
      "[thermal] top_h must be positive, got 0.0"),
     (BASE_CONFIG + "\n[she]\ndamping = 0\n", "[she] damping must lie in (0, 1], got 0.0"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nload_c = nan"),
+     "[experiment] load_c must be non-negative and finite, got nan"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nparasitic_floor = inf"),
+     "[experiment] parasitic_floor must be non-negative and finite, got inf"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.c_gd = nan"),
+     "[experiment] n.c_gd must be finite, got nan"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\np.k_vth = -inf"),
+     "[experiment] p.k_vth must be finite, got -inf"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
-        "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping"])
+        "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
+        "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf"])
 @pytest.mark.parametrize("command", [
     ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
     ["delay", "--design", "2tier"],

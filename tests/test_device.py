@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,8 +28,10 @@ from cfetsim.thermal import default_bc
 VDD = 0.75
 
 # the model takes one bias point; array tests map it over their grids
-array_current = np.vectorize(drain_current, otypes=[float], excluded={0})
-forward_current = np.vectorize(device._forward_scalar, otypes=[float], excluded={0})
+array_current = np.vectorize(lambda p, vgs, vds, t: drain_current(p, vgs, vds, t)[0],
+                             otypes=[float], excluded={0})
+forward_current = np.vectorize(lambda p, vgs, vds, t: device._forward_scalar(p, vgs, vds, t)[0],
+                               otypes=[float], excluded={0})
 
 
 def reference_current(p, vgs, vds, t):
@@ -52,20 +54,20 @@ def reference_current(p, vgs, vds, t):
 
 def test_off_current_matches_closed_form():
     p = CompactModelParams()
-    got = drain_current(p, 0.0, VDD, 300.0)
+    got = drain_current(p, 0.0, VDD, 300.0)[0]
     assert got == pytest.approx(reference_current(p, 0.0, VDD, 300.0), rel=1e-12)
 
 
 def test_on_current_matches_closed_form():
     p = CompactModelParams()
-    got = drain_current(p, VDD, VDD, 300.0)
+    got = drain_current(p, VDD, VDD, 300.0)[0]
     assert got == pytest.approx(reference_current(p, VDD, VDD, 300.0), rel=1e-12)
 
 
 def test_temperature_dependence_disabled():
     p = CompactModelParams(alpha_mu=1e-12, alpha_vsat=0.0, k_vth=0.0)
-    cold = drain_current(p, VDD, VDD, 300.0)
-    hot = drain_current(p, VDD, VDD, 400.0)
+    cold = drain_current(p, VDD, VDD, 300.0)[0]
+    hot = drain_current(p, VDD, VDD, 400.0)[0]
     # only the thermal voltage in the floor term moves, and only slightly
     # the blend width keeps its physical kT/q scaling, nothing else moves
     assert hot == pytest.approx(cold, rel=1e-4)
@@ -73,9 +75,9 @@ def test_temperature_dependence_disabled():
 
 def test_hotter_means_weaker_above_threshold():
     p = CompactModelParams(k_vth=0.0)
-    i1 = drain_current(p, VDD, VDD, 300.0)
-    i2 = drain_current(p, VDD, VDD, 360.0)
-    i3 = drain_current(p, VDD, VDD, 420.0)
+    i1 = drain_current(p, VDD, VDD, 300.0)[0]
+    i2 = drain_current(p, VDD, VDD, 360.0)[0]
+    i3 = drain_current(p, VDD, VDD, 420.0)[0]
     assert i1 > i2 > i3 > 0
 
 
@@ -102,7 +104,7 @@ def test_continuity_across_blend():
 def test_continuity_through_vds_zero():
     p = CompactModelParams()
     vds = np.linspace(-0.1, 0.1, 2001)
-    ids = np.array([drain_current(p, 0.6, float(v), 300.0) for v in vds])
+    ids = np.array([drain_current(p, 0.6, float(v), 300.0)[0] for v in vds])
     first = np.diff(ids)
     second = np.abs(np.diff(ids, 2))
     # smooth curve: curvature per step stays far below the local slope
@@ -114,8 +116,8 @@ def test_polarity_sign_reflection():
     pn = CompactModelParams()
     pp = replace(pn, polarity="p")
     for vg, vd in ((0.75, 0.75), (0.3, 0.5), (0.0, 0.75)):
-        assert drain_current(pp, -vg, -vd, 310.0) == pytest.approx(
-            -drain_current(pn, vg, vd, 310.0), rel=1e-12)
+        assert drain_current(pp, -vg, -vd, 310.0)[0] == pytest.approx(
+            -drain_current(pn, vg, vd, 310.0)[0], rel=1e-12)
 
 
 def two_branch_current(p, vgs, vds, t):
@@ -140,7 +142,7 @@ def test_one_branch_current_equals_two_branch_exactly(polarity, t):
     assert (array_current(p, vgs, vds, t) == two_branch_current(p, vgs, vds, t)).all()
     for vg in bias:
         for vd in bias:
-            got = drain_current(p, float(vg), float(vd), t)
+            got = drain_current(p, float(vg), float(vd), t)[0]
             assert got == two_branch_current(p, float(vg), float(vd), t), (vg, vd)
 
 
@@ -186,22 +188,56 @@ def test_model_matches_numpy_expression(polarity, t):
     assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all()
 
 
+SLOPE_VGS = np.linspace(-0.3, 1.0, 14)
+SLOPE_VDS = np.append(np.linspace(-0.75, 0.75, 16), [0.0, 1e-3, -1e-3])
+
+
+@pytest.mark.parametrize("polarity", ["n", "p"])
+@pytest.mark.parametrize("t", [300.0, 400.0, 650.0])
+def test_slopes_match_central_differences(polarity, t):
+    """gm and gds against central differences of the current, n-type biases
+    mirrored for the pFET. The step sits far below vdsat, which is about
+    3e-10 V at vgs = -0.3 V: a 1e-6 V step misses gds there by 85 percent."""
+    p = CompactModelParams(polarity=polarity)
+    s = -1.0 if polarity == "p" else 1.0
+    h = 1e-12
+    current = lambda vg, vd: drain_current(p, vg, vd, t)[0]
+    for vg in s * SLOPE_VGS:
+        for vd in s * SLOPE_VDS:
+            _, gm, gds = drain_current(p, vg, vd, t)
+            d_vgs = (current(vg + h, vd) - current(vg - h, vd)) / (2 * h)
+            d_vds = (current(vg, vd + h) - current(vg, vd - h)) / (2 * h)
+            scale = max(abs(gm), abs(gds))
+            assert abs(gm - d_vgs) <= 2e-3 * scale, (vg, vd)
+            assert abs(gds - d_vds) <= 2e-3 * scale, (vg, vd)
+
+
 @pytest.mark.parametrize("vgs", [0.6, np.float64(0.6), np.array(0.6)])
 def test_scalar_inputs_return_python_float(vgs):
     p = CompactModelParams()
     got = drain_current(p, vgs, VDD, 300.0)
-    assert type(got) is float
+    assert [type(v) for v in got] == [float, float, float]
     assert got == drain_current(p, 0.6, VDD, 300.0)
 
 
 @pytest.mark.parametrize("polarity", ["n", "p"])
 def test_extreme_bias_stays_finite(polarity):
     p = CompactModelParams(polarity=polarity)
-    for vg in (-50.0, 50.0):
+    for vg in (-50.0, -23.0, 50.0):
         for vd in (-50.0, 0.0, 50.0):
-            assert math.isfinite(drain_current(p, vg, vd, 1000.0)), (vg, vd)
+            # at 300 K, vgs = -23 V leaves vdsat subnormal and -50 V zero
+            for t in (300.0, 1000.0):
+                got = drain_current(p, vg, vd, t)
+                assert all(math.isfinite(v) for v in got), (vg, vd, t)
     vgs, vds = np.meshgrid([-50.0, 50.0], [-50.0, 0.0, 50.0])
     assert np.isfinite(array_current(p, vgs, vds, 1000.0)).all()
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(CompactModelParams)][1:])
+def test_params_reject_non_finite_values(name):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got {value}"):
+            CompactModelParams(**{name: value})
 
 
 @pytest.mark.parametrize("polarity", ["n", "p"])
@@ -254,7 +290,7 @@ def test_calibration_unreachable_names_stage():
 
 def test_fit_ion_single_knob():
     p = fit_ion(CompactModelParams(), 2e-6, VDD)
-    assert drain_current(p, VDD, VDD, 300.0) == pytest.approx(2e-6, rel=1e-2)
+    assert drain_current(p, VDD, VDD, 300.0)[0] == pytest.approx(2e-6, rel=1e-2)
 
 
 def she_context(grid, library, region):
@@ -316,8 +352,8 @@ def test_degradation_in_unit_interval_with_nonneg_coefficients():
             alpha_vsat=float(rng.uniform(0.0, 1.0)),
             k_vth=float(rng.uniform(0.0, 2e-3)))
         t_hot = float(rng.uniform(301.0, 500.0))
-        i_cold = drain_current(p, VDD, VDD, 300.0)
-        i_hot = drain_current(p, VDD, VDD, t_hot)
+        i_cold = drain_current(p, VDD, VDD, 300.0)[0]
+        i_hot = drain_current(p, VDD, VDD, t_hot)[0]
         degradation = 1.0 - i_hot / i_cold
         assert 0.0 <= degradation < 1.0
 
