@@ -399,10 +399,10 @@ def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelPar
 
     nl.add(Capacitor("Cgdn", node_of["Gate"], node_of["Drain"], nparams.c_gd))
     nl.add(Capacitor("Cgsn", node_of["Gate"], node_of["NSource"],
-                     max(nparams.c_g - nparams.c_gd, 0.0)))
+                     nparams.c_g - nparams.c_gd))
     nl.add(Capacitor("Cgdp", node_of["Gate"], node_of["Drain"], pparams.c_gd))
     nl.add(Capacitor("Cgsp", node_of["Gate"], node_of["PSource"],
-                     max(pparams.c_g - pparams.c_gd, 0.0)))
+                     pparams.c_g - pparams.c_gd))
     if load_c > 0:
         nl.add(Capacitor("Cload", node_of["Output"], GROUND, load_c))
 

@@ -73,6 +73,22 @@ def _she_context(config: RunConfig, grid, tier: int):
         device_region=f"tier{tier}.channel", **config.heat)
 
 
+def _thermal_field(config: RunConfig, grid, tier: int, polarity: str):
+    """(power, field, energy balance) of the device at `tier`.
+
+    The heat context, with its operator and multigrid hierarchy, ends with
+    this call, so it is freed before the caller formats the heatmaps.
+    """
+    ctx = _she_context(config, grid, tier)
+    power = config.power
+    if power == "auto":
+        params = calibrated_params(config, polarity)
+        vdd = config.device.vdd
+        power = device.she_operating_point(params, vdd, ctx, **config.she).id * vdd
+    fld = ctx.solve_at_power(power)
+    return power, fld, thermal.energy_balance(ctx.operator, fld, ctx.heat_source(power))
+
+
 def cmd_thermal(args) -> int:
     config = load_config(args.config)
     try:
@@ -88,17 +104,8 @@ def cmd_thermal(args) -> int:
     design = "2tier" if len(tiers) == 2 else ("4tier-top" if tier >= 2 else "4tier-bottom")
     grid = build_inverter_grid(config, design)[0]
 
-    ctx = _she_context(config, grid, tier)
-    power = config.power
-    if power == "auto":
-        params = calibrated_params(config, pol)
-        vdd = config.device.vdd
-        power = device.she_operating_point(params, vdd, ctx, **config.she).id * vdd
-
-    fld = ctx.solve_at_power(power)
+    power, fld, (p_in, p_out, rel) = _thermal_field(config, grid, tier, pol)
     dtmax = thermal.delta_t_max(fld)
-    p_in, p_out, rel = thermal.energy_balance(ctx.operator, fld, ctx.heat_source(power))
-
     thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.csv"), "csv")
     thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.vtk"), "vtk_legacy")
     summary = (

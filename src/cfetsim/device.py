@@ -94,6 +94,10 @@ class CompactModelParams:
                 raise ConfigurationError(f"{name} must be positive, got {v}")
         if self.n_ss < 1.0:
             raise ConfigurationError("n_ss must be >= 1")
+        # the gate-drain share of the gate capacitance; the rest is gate-source
+        if not 0 <= self.c_gd <= self.c_g:
+            raise ConfigurationError(
+                f"c_gd must lie in [0, c_g = {self.c_g}], got {self.c_gd}")
 
 
 def _forward_scalar(p: CompactModelParams, vgs: float, vds: float,

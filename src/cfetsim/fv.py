@@ -143,17 +143,21 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
     """Aggregation-multigrid V(1,1) preconditioner for an `assemble` operator.
 
     Each coarser level aggregates the active cells of the 2x2x2 blocks of
-    the level below; the prolongation is piecewise constant on the
+    the level below; the prolongation P is piecewise constant on the
     aggregates and the coarse operator the Galerkin product P^T A P.
     Coarsening stops at `COARSEST` unknowns, which a sparse LU solves
     exactly. Every level is a diagonally dominant M-matrix, so the
     spectrum of D^-1 A lies in (0, 2] and the degree-2 Chebyshev smoother
     targets [2/30, 2]. Pre- and post-smoother are the same polynomial, so
     the cycle is symmetric and CG applies.
+
+    Each level keeps A, D^-1, CHEB_C1 D^-1, the restriction P^T built for
+    the Galerkin product and the aggregate of each unknown, which indexes
+    the prolongation.
     """
     shape, dims = a_mat.shape, active.shape
     coords = np.nonzero(active)  # C order, the dof order of `assemble`
-    levels = []  # (A, 1/diag A, aggregate of each unknown, aggregate count)
+    levels = []  # finest first
     while a_mat.shape[0] > COARSEST:
         dims = tuple((d + 1) // 2 for d in dims)
         blocks, agg = np.unique(
@@ -161,9 +165,12 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
         coords = np.unravel_index(blocks, dims)
         n, n_coarse = a_mat.shape[0], blocks.size
         agg = agg.astype(a_mat.indices.dtype)  # the column indices of A P below
-        levels.append((a_mat, 1.0 / a_mat.diagonal(), agg, n_coarse))
-        # P^T (A P) with A P sharing the values and row pointers of A
+        dinv = 1.0 / a_mat.diagonal()
+        # each row of P^T lists its unknowns in ascending order, so P^T r
+        # adds the same terms in the same order as np.bincount(agg, r)
         p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
+        levels.append((a_mat, dinv, CHEB_C1 * dinv, p_t, agg))
+        # P^T (A P) with A P sharing the values and row pointers of A
         a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
                                         shape=(n, n_coarse))
     coarsest = spla.splu(a_mat.tocsc())
@@ -172,21 +179,38 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
     return spla.LinearOperator(shape, matvec=lambda b: _cycle(levels, coarsest, b), dtype=float)
 
 
-def _smooth(a, dinv, b, x=None):
-    """x + p(D^-1 A) D^-1 (b - A x), the Chebyshev smoother; x = None is 0."""
-    z = dinv * (b if x is None else b - a @ x)
-    step = CHEB_C0 * z - CHEB_C1 * dinv * (a @ z)
-    return step if x is None else x + step
+def _poly(a, c1_dinv, z):
+    """p(D^-1 A) z with p(t) = C0 - C1 t, formed in place in z.
+
+    C1 D^-1 is stored, and Python evaluates C1 * dinv * t as
+    (C1 * dinv) * t, so the product rounds as the plain expression does.
+    """
+    t = a @ z
+    t *= c1_dinv
+    z *= CHEB_C0
+    z -= t
+    return z
 
 
 def _cycle(levels, coarsest, b):
-    """One V(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest."""
+    """One V(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest.
+
+    Both smoothers are x + p(D^-1 A) D^-1 (b - A x), the pre-smoother from
+    x = 0. Each step updates an array it has just allocated, never `b`,
+    and the iterates are bit-identical to the plain expressions.
+    """
     if not levels:
         return coarsest.solve(b)
-    (a, dinv, agg, n_coarse), coarser = levels[0], levels[1:]
-    x = _smooth(a, dinv, b)
-    x += _cycle(coarser, coarsest, np.bincount(agg, b - a @ x, n_coarse))[agg]
-    return _smooth(a, dinv, b, x)
+    (a, dinv, c1_dinv, p_t, agg), coarser = levels[0], levels[1:]
+    x = _poly(a, c1_dinv, dinv * b)
+    r = a @ x
+    np.subtract(b, r, out=r)
+    x += np.take(_cycle(coarser, coarsest, p_t @ r), agg)
+    r = a @ x
+    np.subtract(b, r, out=r)
+    r *= dinv
+    x += _poly(a, c1_dinv, r)
+    return x
 
 
 def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -94,6 +95,13 @@ class HeatSourceField:
 class TemperatureField:
     values: np.ndarray  # K per cell
     ambient: float
+
+    @cached_property
+    def reprs(self) -> list[str]:
+        """`repr(float(v))` of each value in C order, formatted once for
+        every heatmap written from this field; `values` must not change
+        after the first heatmap."""
+        return _reprs(self.values)
 
 
 @dataclass
@@ -197,27 +205,29 @@ def export_heatmap(fld: TemperatureField, grid: VoxelGrid, path, fmt: str = "csv
     atomic_write(path, chunks)
 
 
-def _reprs(values: np.ndarray):
-    """`repr(float(v))` of each value in C order, as a lazy iterator."""
-    return map(repr, values.ravel().tolist())
+def _reprs(values: np.ndarray) -> list[str]:
+    """`repr(float(v))` of each value in C order."""
+    return list(map(repr, values.ravel().tolist()))
 
 
-# The writers yield one slab of lines at a time, so a heatmap never sits
-# in memory as one string or as one Python object per cell.
+# Both writers read the field's `reprs`, so each temperature is formatted
+# once however many heatmaps are written; that list, one string per cell,
+# lives as long as the field. The writers yield one slab of lines at a
+# time, so no heatmap sits in memory as one string.
 
 def _heatmap_csv(fld, grid):
-    xs, ys, zs = (list(_reprs(grid.centers(a))) for a in range(3))
-    zs = [f"{z}," for z in zs]
+    xs, ys, zs = (_reprs(grid.centers(a)) for a in range(3))
+    yz = [f"{y},{z}," for y in ys for z in zs]  # rows in C order: z varies fastest
+    t = fld.reprs
     yield "x_nm,y_nm,z_nm,T_K\n"
-    # rows in C order: z varies fastest
-    for x, slab in zip(xs, fld.values):
-        rows = map(str.__add__, (f"{x},{y},{z}" for y in ys for z in zs), _reprs(slab))
-        yield "\n".join(rows) + "\n"
+    for i, x in enumerate(xs):
+        slab = t[i * len(yz):(i + 1) * len(yz)]
+        yield f"{x}," + f"\n{x},".join(map(str.__add__, yz, slab)) + "\n"
 
 
 def _heatmap_vtk(fld, grid):
     nx, ny, nz = grid.dims
-    xs, ys, zs = (list(_reprs(grid.centers(a))) for a in range(3))
+    xs, ys, zs = (_reprs(grid.centers(a)) for a in range(3))
     yield ("# vtk DataFile Version 3.0\n"
            "temperature field\n"
            "ASCII\n"
@@ -226,10 +236,11 @@ def _heatmap_vtk(fld, grid):
            f"POINTS {nx * ny * nz} double\n")
     # VTK point order: x varies fastest
     for z in zs:
-        yz = [f" {y} {z}" for y in ys]
-        yield "\n".join(x + p for p in yz for x in xs) + "\n"
+        yield "".join((s + "\n").join(xs) + s + "\n" for s in (f" {y} {z}" for y in ys))
     yield (f"POINT_DATA {nx * ny * nz}\n"
            "SCALARS temperature double 1\n"
            "LOOKUP_TABLE default\n")
-    for slab in fld.values.transpose():
-        yield "\n".join(_reprs(slab)) + "\n"
+    # the C-order strings through a transposed view: one z slab at a time
+    cells = np.array(fld.reprs, dtype=object).reshape(grid.dims).transpose()
+    for slab in cells:
+        yield "\n".join(slab.ravel().tolist()) + "\n"

@@ -2,6 +2,7 @@ import errno
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -284,6 +285,28 @@ def test_cmd_thermal_solves_once(tmp_path, monkeypatch, power):
     path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", f"power = {power}"))
     assert cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "th")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("power", ["2e-6", "auto"])
+def test_cmd_thermal_frees_the_heat_operator_before_the_export(tmp_path, monkeypatch, power):
+    refs, dead_at_export = [], []
+    real_prepare, real_export = device.ThermalContext.prepare, thermal.export_heatmap
+
+    def prepare(ctx):
+        result = real_prepare(ctx)
+        refs.extend((weakref.ref(ctx.operator), weakref.ref(ctx.operator.precond)))
+        return result
+
+    def export(*args, **kwargs):
+        dead_at_export.append([ref() is None for ref in refs])
+        return real_export(*args, **kwargs)
+
+    monkeypatch.setattr(device.ThermalContext, "prepare", prepare)
+    monkeypatch.setattr(thermal, "export_heatmap", export)
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", f"power = {power}"))
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "th")]) == 0
+    assert refs
+    assert dead_at_export == [[True] * len(refs)] * 2  # the CSV and the VTK
 
 
 def test_cmd_thermal_matches_direct_solve(tmp_path):
@@ -778,9 +801,14 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[experiment] n.c_gd must be finite, got nan"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\np.k_vth = -inf"),
      "[experiment] p.k_vth must be finite, got -inf"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.c_gd = -1e-17"),
+     "[experiment] n.c_gd must lie in [0, c_g = 5e-17], got -1e-17"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.c_gd = 1e-16"),
+     "[experiment] n.c_gd must lie in [0, c_g = 5e-17], got 1e-16"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
         "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
-        "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf"])
+        "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
+        "n.c_gd-above-c_g"])
 @pytest.mark.parametrize("command", [
     ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
     ["delay", "--design", "2tier"],

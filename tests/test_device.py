@@ -240,6 +240,18 @@ def test_params_reject_non_finite_values(name):
             CompactModelParams(**{name: value})
 
 
+@pytest.mark.parametrize("c_gd", [-1e-17, 1e-16, 5.0e-17 * (1 + 1e-15)],
+                         ids=["negative", "above", "just-above"])
+def test_params_reject_c_gd_outside_the_gate_capacitance(c_gd):
+    with pytest.raises(ConfigurationError, match=r"^c_gd must lie in \[0, c_g = 5e-17\]"):
+        CompactModelParams(c_g=5e-17, c_gd=c_gd)
+
+
+@pytest.mark.parametrize("c_gd", [0.0, 5e-17])
+def test_params_accept_c_gd_at_either_end(c_gd):
+    assert CompactModelParams(c_g=5e-17, c_gd=c_gd).c_gd == c_gd
+
+
 @pytest.mark.parametrize("polarity", ["n", "p"])
 @pytest.mark.parametrize("t", [0.0, -5.0])
 def test_nonpositive_temperature_rejected(polarity, t):

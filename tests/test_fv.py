@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from cfetsim import cli, fv
@@ -116,6 +117,57 @@ def test_multigrid_cycle_is_symmetric(run, monkeypatch):
     x, y = np.random.default_rng(7).standard_normal((2, a_mat.shape[0]))
     mx, my = precond @ x, precond @ y
     assert abs(mx @ y - x @ my) <= 1e-12 * np.linalg.norm(mx) * np.linalg.norm(y)
+
+
+def plain_multigrid(a_mat, active):
+    """`fv.multigrid`'s V(1,1) cycle in its plain expressions: the smoother
+    x + (C0 - C1 D^-1 A) D^-1 (b - A x) written out, restriction by
+    np.bincount and prolongation by fancy indexing."""
+    levels, coords, dims = [], np.nonzero(active), active.shape
+    while a_mat.shape[0] > fv.COARSEST:
+        dims = tuple((d + 1) // 2 for d in dims)
+        blocks, agg = np.unique(
+            np.ravel_multi_index(tuple(c // 2 for c in coords), dims), return_inverse=True)
+        coords = np.unravel_index(blocks, dims)
+        n, n_coarse = a_mat.shape[0], blocks.size
+        agg = agg.astype(a_mat.indices.dtype)
+        levels.append((a_mat, 1.0 / a_mat.diagonal(), agg, n_coarse))
+        p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
+        a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
+                                        shape=(n, n_coarse))
+    coarsest = spla.splu(a_mat.tocsc())
+
+    def smooth(a, dinv, b, x):
+        z = dinv * (b - a @ x)
+        return x + (fv.CHEB_C0 * z - fv.CHEB_C1 * dinv * (a @ z))
+
+    def cycle(level, b):
+        if level == len(levels):
+            return coarsest.solve(b)
+        a, dinv, agg, n_coarse = levels[level]
+        x = smooth(a, dinv, b, np.zeros_like(b))
+        x = x + cycle(level + 1, np.bincount(agg, b - a @ x, n_coarse))[agg]
+        return smooth(a, dinv, b, x)
+    return lambda b: cycle(0, b)
+
+
+@pytest.mark.parametrize("run", [run_thermal, run_capacitance], ids=["thermal", "capacitance"])
+def test_multigrid_cycle_equals_its_plain_expressions_bitwise(run, monkeypatch):
+    built = []
+    real = fv.multigrid
+
+    def recording(a_mat, active):
+        built.append((a_mat, active, real(a_mat, active)))
+        return built[-1][2]
+
+    monkeypatch.setattr(fv, "multigrid", recording)
+    run(two_material_grid(0.45), default_library())  # 46 x 25 x 25: two levels above the LU
+    [(a_mat, active, precond)] = built
+    plain = plain_multigrid(a_mat, active)
+    for b in np.random.default_rng(11).standard_normal((3, a_mat.shape[0])):
+        given = b.copy()
+        assert np.array_equal(precond @ b, plain(b))
+        assert np.array_equal(b, given)  # the cycle leaves its input alone
 
 
 def test_small_system_preconditioner_is_the_direct_solve(monkeypatch):

@@ -319,11 +319,15 @@ def test_heatmap_writers_match_per_cell_formatter(tmp_path):
     dims = tuple(len(e) - 1 for e in edges)
     grid = VoxelGrid(*edges, np.zeros(dims, dtype=int), np.full(dims, -1), ["silicon_bulk"], [])
     values = 300.0 + rng.random(dims) * rng.choice([0.0, 1e-9, 1e-3, 1.0, 1e4], dims)
-    fld = TemperatureField(values, 300.0)
-    for fmt, reference in (("csv", _per_cell_csv), ("vtk_legacy", _per_cell_vtk)):
-        path = tmp_path / f"map.{fmt}"
-        export_heatmap(fld, grid, path, fmt)
-        assert path.read_bytes() == reference(fld, grid).encode()
+    writers = (("csv", _per_cell_csv), ("vtk_legacy", _per_cell_vtk))
+    # both formats from one field, in either order: the second writer reads
+    # the strings the first one formatted
+    for order in (writers, writers[::-1]):
+        fld = TemperatureField(values, 300.0)
+        for fmt, reference in order:
+            path = tmp_path / f"map.{fmt}"
+            export_heatmap(fld, grid, path, fmt)
+            assert path.read_bytes() == reference(fld, grid).encode()
 
 
 def test_source_validation(device_grid2):
