@@ -26,10 +26,12 @@ from scipy.sparse import csgraph
 
 from .device import CompactModelParams, drain_current, she_operating_point
 from .errors import (
+    POSITIVE,
     ConfigurationError,
     MeasurementError,
     NetlistError,
     TransientFailureError,
+    check_rules,
 )
 
 GROUND = "0"
@@ -176,10 +178,10 @@ class _Mna:
         self.pwls = [([p[0] for p in src.pwl], [p[1] for p in src.pwl])
                      for src in self.vsources]
 
-    def source_vector(self, t, scale=1.0):
+    def source_vector(self, t):
         s = np.zeros(self.n + 1)
         for k, (ts, vs) in enumerate(self.pwls):
-            s[self.nv + k] = scale * _pwl_value(ts, vs, t)
+            s[self.nv + k] = _pwl_value(ts, vs, t)
         return s
 
     def _device_stamps(self, x, jac, f):
@@ -198,14 +200,14 @@ class _Mna:
             jac[si, di] -= gds
             jac[si, si] += gm + gds
 
-    def newton(self, x_prev, t, dt, source_scale=1.0):
+    def newton(self, x_prev, t, dt):
         """Solve the BE step equations; dt=None means a DC solve.
 
         Per-iteration updates are clamped to 0.3 V so the exponential
         device characteristics cannot throw the iteration into overflow.
         """
         lin = self.g_full.copy()  # G + C/dt
-        rhs = self.source_vector(t, source_scale)
+        rhs = self.source_vector(t)
         if dt is not None:
             c_over_dt = self.c_full / dt
             lin += c_over_dt
@@ -224,15 +226,9 @@ class _Mna:
         return None
 
     def dc_operating_point(self):
-        x = np.zeros(self.n + 1)
-        sol = self.newton(x, 0.0, None)
-        if sol is not None:
-            return sol
-        for scale in np.linspace(0.1, 1.0, 10):
-            nxt = self.newton(x, 0.0, None, source_scale=float(scale))
-            if nxt is None:
-                raise TransientFailureError("DC operating point did not converge", time=0.0)
-            x = nxt
+        x = self.newton(np.zeros(self.n + 1), 0.0, None)
+        if x is None:
+            raise TransientFailureError("DC operating point did not converge", time=0.0)
         return x
 
 
@@ -243,8 +239,7 @@ def transient(netlist: Netlist, tstop: float, dt: float) -> dict[str, Waveform]:
     raise with the failing timestamp. Sample times include any refined
     sub-steps that were taken.
     """
-    if not dt > 0 or not tstop > 0:
-        raise ConfigurationError("tstop and dt must be positive")
+    check_rules({"tstop": POSITIVE, "dt": POSITIVE}, {"tstop": tstop, "dt": dt})
     mna = _Mna(netlist)
     x = mna.dc_operating_point()
     times = [0.0]
@@ -332,13 +327,12 @@ class Stimulus:
     dt_fs: float = 5.0
 
     def __post_init__(self):
-        if not self.dt_fs > 0:
-            raise ConfigurationError(f"dt_fs must be positive, got {self.dt_fs}")
+        check_rules({"dt_fs": POSITIVE}, vars(self))
         times = [t for t, _ in self.pwl(1.0)]
         if not all(b > a for a, b in zip(times, times[1:])):
             raise ConfigurationError(
-                f"edge_ps = {self.edge_ps} does not fit period_ps = {self.period_ps}: "
-                "it must be positive and below 0.4 period_ps")
+                f"edge_ps must lie in (0, 0.4 period_ps) for period_ps = "
+                f"{self.period_ps}, got {self.edge_ps}")
 
     def pwl(self, vdd: float):
         ps = 1e-12

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from . import materials as mat_mod
 from .circuit import Stimulus
-from .device import CompactModelParams, check_she_settings
-from .errors import ConfigurationError
+from .device import SHE_RULES, CompactModelParams
+from .errors import POSITIVE, ConfigurationError, MaterialError, check_rules
 from .geometry import BeolSpec, DeviceSpec, StackConfig, default_stack
-from .thermal import ThermalBC, check_thermal_settings, default_bc
+from .thermal import THERMAL_RULES, ThermalBC, default_bc
 
 _UNIT_SUFFIXES = {
     "nm": ("nm",),
@@ -92,6 +92,8 @@ _DEFAULTS = {
                    "p.mu0": 470.0, "p.vsat0": 6.0e5, "p.alpha_mu": 1.3},
 }
 _MATERIAL_FIELDS = ("kappa", "eps_r", "rho_e")
+_EXPERIMENT_RULES = dict.fromkeys(("load_c", "parasitic_floor"),
+                                  (lambda v: 0 <= v < math.inf, "must be non-negative and finite"))
 
 
 @dataclass
@@ -145,12 +147,12 @@ def _parse_power(raw: str) -> str | float:
     return watts
 
 
-def _build(prefix: str, make, **kwargs):
-    """`make(**kwargs)`; an error that does not yet name its section gets
-    `prefix`, the section and, for a model seed, the polarity."""
+def _build(prefix: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`; an error that does not yet name its section
+    gets `prefix`, the section and, for a model seed, the polarity."""
     try:
-        return make(**kwargs)
-    except ConfigurationError as exc:
+        return make(*args, **kwargs)
+    except (ConfigurationError, MaterialError) as exc:
         msg = str(exc)
         raise ConfigurationError(msg if msg.startswith("[") else prefix + msg) from None
 
@@ -181,8 +183,8 @@ def load_config(path) -> RunConfig:
             for key, raw in cp[section].items():
                 if key not in _MATERIAL_FIELDS:
                     raise ConfigurationError(f"[{section}] unknown key {key!r}")
-                library = mat_mod.override(library, name, key,
-                                           _coerce(section, key, "none", raw))
+                library = _build(f"[{section}] ", mat_mod.override, library, name, key,
+                                 _coerce(section, key, "none", raw))
             continue
         if section not in _UNITS:
             raise ConfigurationError(f"unknown section [{section}]")
@@ -194,19 +196,14 @@ def load_config(path) -> RunConfig:
             values[section][key] = _coerce(section, key, unit, raw)
 
     mesh = values["mesh"]  # resolution and refine.<label-or-material> targets
-    for key, value in mesh.items():
-        if not value > 0:
-            raise ConfigurationError(f"[mesh] {key} must be positive, got {value}")
+    _build("[mesh] ", check_rules, dict.fromkeys(mesh, POSITIVE), mesh)
     resolution = mesh.pop("resolution")
     exp = values["experiment"]
-    for key in ("load_c", "parasitic_floor"):
-        if not 0 <= exp[key] < math.inf:
-            raise ConfigurationError(
-                f"[experiment] {key} must be non-negative and finite, got {exp[key]}")
-    _build("[she] ", check_she_settings, **values["she"])
+    _build("[experiment] ", check_rules, _EXPERIMENT_RULES, exp)
+    _build("[she] ", check_rules, SHE_RULES, values["she"])
     th = values["thermal"]
     power = _parse_power(th.pop("power"))
-    _build("[thermal] ", check_thermal_settings, **th)
+    _build("[thermal] ", check_rules, THERMAL_RULES, th)
     spec = _build("[device] ", DeviceSpec, **values["device"])
     return RunConfig(
         device=spec, stack=_build("[stack] ", default_stack, **values["stack"]),
@@ -229,9 +226,7 @@ def _targets(exp: dict, polarity: str, vdd: float) -> dict[str, float] | None:
         return None
     ion, ioff = values["ion"], values["ioff"]
     if given == {"ion"}:
-        if not ion > 0:
-            raise ConfigurationError(
-                f"[experiment] {polarity}.ion must be positive, got {ion}")
+        _build(f"[experiment] {polarity}.", check_rules, {"ion": POSITIVE}, values)
         return {"ion": ion, "vdd": vdd}
     if given != set(_TARGET_KEYS):
         raise ConfigurationError(

@@ -38,7 +38,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import CalibrationError, ConfigurationError, CouplingDivergenceError
+from .errors import (
+    POSITIVE,
+    CalibrationError,
+    ConfigurationError,
+    CouplingDivergenceError,
+    check_rules,
+)
 from .materials import Material
 from .thermal import (
     HeatSourceField,
@@ -80,24 +86,21 @@ class CompactModelParams:
     cox: float = 3.836e-2  # F/m^2 at 0.9 nm effective oxide
 
     def __post_init__(self):
-        if self.polarity not in ("n", "p"):
-            raise ConfigurationError(f"polarity must be n or p, got {self.polarity!r}")
-        for f in fields(self)[1:]:  # every field after polarity, the first, is a float
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ConfigurationError(f"{f.name} must be finite, got {v}")
-        positives = dict(mu0=self.mu0, vsat0=self.vsat0, c_g=self.c_g,
-                         alpha_mu=self.alpha_mu, i0=self.i0,
-                         w_eff=self.w_eff, l_eff=self.l_eff, cox=self.cox)
-        for name, v in positives.items():
-            if not v > 0:
-                raise ConfigurationError(f"{name} must be positive, got {v}")
-        if self.n_ss < 1.0:
-            raise ConfigurationError("n_ss must be >= 1")
+        for rules in (_PARAM_FORM, _PARAM_RANGES):
+            check_rules(rules, vars(self))
         # the gate-drain share of the gate capacitance; the rest is gate-source
         if not 0 <= self.c_gd <= self.c_g:
             raise ConfigurationError(
                 f"c_gd must lie in [0, c_g = {self.c_g}], got {self.c_gd}")
+
+
+# field -> (test, rule stated in the error); NaN and inf fail before any range
+_PARAM_FORM = {"polarity": (lambda v: v in ("n", "p"), "must be n or p"),
+               **{f.name: (math.isfinite, "must be finite")
+                  for f in fields(CompactModelParams)[1:]}}
+_PARAM_RANGES = {**dict.fromkeys(("mu0", "vsat0", "c_g", "alpha_mu", "i0",
+                                  "w_eff", "l_eff", "cox"), POSITIVE),
+                 "n_ss": (lambda v: v >= 1.0, "must be >= 1")}
 
 
 def _forward_scalar(p: CompactModelParams, vgs: float, vds: float,
@@ -419,31 +422,23 @@ class ThermalContext:
 
 
 # [she] setting -> (test, rule stated in the error)
-_SHE_RULES = {
+SHE_RULES = {
     "damping": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "tol_k": (lambda v: v > 0, "must be positive"),
+    "tol_k": POSITIVE,
     "max_iter": (lambda v: v >= 1, "must be at least 1"),
 }
-
-
-def check_she_settings(**settings):
-    """Reject fixed-point settings (damping, tol_k, max_iter) the self-heating
-    loop cannot run on."""
-    for key, value in settings.items():
-        ok, rule = _SHE_RULES[key]
-        if not ok(value):
-            raise ConfigurationError(f"{key} {rule}, got {value}")
 
 
 def she_operating_point(p: CompactModelParams, vdd: float, ctx: ThermalContext,
                         damping: float = 0.5, tol_k: float = 0.01,
                         max_iter: int = 100) -> OperatingPoint:
     """Damped fixed point between drain current and channel temperature,
-    with the device fully on: |vgs| = |vds| = vdd."""
-    check_she_settings(damping=damping, tol_k=tol_k, max_iter=max_iter)
+    with the device fully on: |vgs| = |vds| = vdd. `ion_degradation` is the
+    share of the on-current lost against the same device at ambient."""
+    check_rules(SHE_RULES, {"damping": damping, "tol_k": tol_k, "max_iter": max_iter})
     ctx.prepare()
     ambient = ctx.bc.ambient
-    i_iso = current_magnitude(p, vdd, vdd, T_REF)
+    i_iso = current_magnitude(p, vdd, vdd, ambient)
     t_ch = ambient
     residuals = []
     for it in range(1, max_iter + 1):

@@ -9,6 +9,17 @@ class ConfigurationError(CfetSimError):
     """Invalid run configuration or input parameters."""
 
 
+POSITIVE = (lambda v: v > 0, "must be positive")
+
+
+def check_rules(rules: dict, values: dict, error=ConfigurationError):
+    """Raise `error("<key> <rule>, got <value>")` for the first key of `rules`, a
+    table of key -> (test, rule), whose value in `values` fails; absent keys pass."""
+    for key, (test, rule) in rules.items():
+        if key in values and not test(values[key]):
+            raise error(f"{key} {rule}, got {values[key]}")
+
+
 class GeometryError(CfetSimError):
     """Region construction or routing failure."""
 

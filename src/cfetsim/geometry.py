@@ -19,10 +19,12 @@ from scipy.sparse import csgraph
 
 from . import fv
 from .errors import (
+    POSITIVE,
     ConfigurationError,
     GeometryError,
     IntegrityError,
     RefinementError,
+    check_rules,
 )
 
 RAIL_NAMES = ("Input", "Output", "Power", "Ground")
@@ -33,6 +35,20 @@ MAX_ASPECT = 50.0
 FILL_MARGIN = 15.0  # nm of dielectric fill around a bare device stack
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
+
+
+# field of each spec below, or [stack] key -> (test, rule stated in the error)
+_RULES = {
+    **dict.fromkeys(("gate_length", "sheet_width", "sheet_thickness", "eot",
+                     "spacer_thickness", "gate_metal_thickness", "vdd"), POSITIVE),
+    "sd_extension": (lambda v: v is None or v > 0, "must be positive"),
+    "tier_count": (lambda v: v in (2, 4), "must be 2 or 4"),
+    **dict.fromkeys(("tier_gap", "pair_gap", "standoff", "gap_below", "substrate_thickness",
+                     "via_cross_section", "metal_thickness", "bpr_thickness", "margin"),
+                    POSITIVE),
+    "bpr_depth": (lambda v: v >= 0, "must be non-negative"),
+    "polarity": (lambda v: v in ("n", "p"), "must be n or p"),
+}
 
 
 @dataclass(frozen=True)
@@ -49,16 +65,11 @@ class DeviceSpec:
     gate_metal_thickness: float = 3.0  # nm
 
     def __post_init__(self):
-        for key in ("gate_length", "sheet_width", "sheet_thickness", "eot",
-                    "spacer_thickness", "gate_metal_thickness"):
-            if not getattr(self, key) > 0:
-                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
+        check_rules(_RULES, vars(self))
         if not self.eot < self.sheet_thickness:
-            raise ConfigurationError("eot must be smaller than the sheet thickness")
-        if self.sd_extension is not None and not self.sd_extension > 0:
-            raise ConfigurationError("sd_extension must be positive")
-        if not self.vdd > 0:
-            raise ConfigurationError("vdd must be positive")
+            raise ConfigurationError(
+                f"eot must be smaller than sheet_thickness = {self.sheet_thickness}, "
+                f"got {self.eot}")
 
     @property
     def extension(self) -> float:
@@ -71,10 +82,7 @@ class TierSpec:
     gap_below: float  # nm of dielectric between this tier's solids and the one below
 
     def __post_init__(self):
-        if self.polarity not in ("n", "p"):
-            raise ConfigurationError(f"polarity must be n or p, got {self.polarity!r}")
-        if not self.gap_below > 0:
-            raise ConfigurationError("vertical gaps must be strictly positive")
+        check_rules(_RULES, vars(self))
 
 
 @dataclass(frozen=True)
@@ -84,10 +92,8 @@ class StackConfig:
     inter_tier_dielectric: str = "interlayer_dielectric"
 
     def __post_init__(self):
-        if self.tier_count not in (2, 4):
-            raise ConfigurationError(f"tier_count must be 2 or 4, got {self.tier_count}")
-        if not self.substrate_thickness > 0:
-            raise ConfigurationError("substrate_thickness must be positive")
+        check_rules(_RULES, {"tier_count": self.tier_count,
+                             "substrate_thickness": self.substrate_thickness})
 
     @property
     def tier_count(self) -> int:
@@ -100,13 +106,14 @@ def default_stack(tier_count=2, tier_gap=10.0, pair_gap=None, standoff=20.0,
     """Stack with p below n per pair, tiers bottom-up, unless `order` is given.
 
     `pair_gap` (default `tier_gap`) separates the two pairs of a 4-tier stack.
+    Each gap is checked by its own name, whatever the tier count.
     """
-    if tier_count not in (2, 4):
-        raise ConfigurationError(f"tier_count must be 2 or 4, got {tier_count}")
+    pair_gap = tier_gap if pair_gap is None else pair_gap
+    check_rules(_RULES, {"tier_count": tier_count, "tier_gap": tier_gap,
+                         "pair_gap": pair_gap, "standoff": standoff})
     order = "pnpn"[:tier_count] if order is None else order
     if len(order) != tier_count or any(c not in "np" for c in order):
         raise ConfigurationError(f"order must be {tier_count} chars of n/p, got {order!r}")
-    pair_gap = tier_gap if pair_gap is None else pair_gap
     gaps = [standoff] + [pair_gap if i == 2 else tier_gap for i in range(1, tier_count)]
     return StackConfig(tuple(TierSpec(c, gap) for c, gap in zip(order, gaps)),
                        substrate_thickness, inter_tier_dielectric)
@@ -126,11 +133,7 @@ class BeolSpec:
     margin: float = 20.0  # dielectric guard around the cell
 
     def __post_init__(self):
-        for key in ("via_cross_section", "metal_thickness", "bpr_thickness", "margin"):
-            if not getattr(self, key) > 0:
-                raise ConfigurationError(f"{key} must be positive, got {getattr(self, key)}")
-        if not self.bpr_depth >= 0:
-            raise ConfigurationError(f"bpr_depth must be non-negative, got {self.bpr_depth}")
+        check_rules(_RULES, vars(self))
 
     @property
     def via_side(self) -> float:
@@ -465,8 +468,7 @@ def voxelize(regions: list[Region], resolution: float,
     """
     if not regions:
         raise GeometryError("no regions to voxelize")
-    if not resolution > 0:
-        raise GeometryError("resolution must be positive")
+    check_rules({"resolution": POSITIVE}, {"resolution": resolution}, GeometryError)
     refinement = dict(refinement or {})
     for key, target in refinement.items():
         if not any(key in (r.label, r.material) for r in regions):

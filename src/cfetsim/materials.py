@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaterialError
+from .errors import POSITIVE, MaterialError, check_rules
 
 ROLES = ("conductor", "dielectric", "semiconductor")
 
@@ -32,16 +32,21 @@ class Material:
     def __post_init__(self):
         if self.role not in ROLES:
             raise MaterialError(f"unknown role {self.role!r} for {self.name!r}")
-        if not self.kappa > 0:
-            raise MaterialError(f"{self.name}: kappa must be positive, got {self.kappa}")
-        if self.role == "conductor":
-            if self.rho_e is None or not self.rho_e > 0:
-                raise MaterialError(f"{self.name}: conductors need rho_e > 0")
-        else:
-            if self.rho_e is not None:
-                raise MaterialError(f"{self.name}: rho_e is only valid for conductors")
-            if self.eps_r is None or self.eps_r < 1.0:
-                raise MaterialError(f"{self.name}: eps_r must be >= 1")
+        rules = _CONDUCTOR_RULES if self.role == "conductor" else _INSULATOR_RULES
+        check_rules(rules, vars(self), MaterialError)
+
+
+# property -> (test, rule stated in the error), by role; semiconductors
+# take the insulator rules
+_CONDUCTOR_RULES = {
+    "kappa": POSITIVE,
+    "rho_e": (lambda v: v is not None and v > 0, "must be positive for a conductor"),
+}
+_INSULATOR_RULES = {
+    "kappa": POSITIVE,
+    "eps_r": (lambda v: v is not None and v >= 1.0, "must be >= 1"),
+    "rho_e": (lambda v: v is None, "is only valid for conductors"),
+}
 
 
 def default_library() -> dict[str, Material]:

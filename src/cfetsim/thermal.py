@@ -18,7 +18,13 @@ import numpy as np
 from scipy import sparse
 
 from . import fv
-from .errors import ConfigurationError, RegionNotFoundError, SingularSystemError
+from .errors import (
+    POSITIVE,
+    ConfigurationError,
+    RegionNotFoundError,
+    SingularSystemError,
+    check_rules,
+)
 from .fv import NM
 from .geometry import VoxelGrid
 from .materials import Material, per_cell
@@ -44,8 +50,7 @@ class ThermalBC:
             raise ConfigurationError(f"BC must cover faces {FACE_KEYS}")
         if not all(h >= 0 for h in self.h.values()):
             raise ConfigurationError(f"h must be >= 0 on every face, got {self.h}")
-        if not 0 < self.ambient < math.inf:
-            raise ConfigurationError(f"ambient must be positive and finite, got {self.ambient}")
+        check_rules(THERMAL_RULES, {"ambient": self.ambient})
         if not any(self.h.values()):
             raise SingularSystemError("all faces adiabatic: steady problem is singular")
 
@@ -58,21 +63,14 @@ def default_bc(ambient: float = 300.0, top_h: float = 5e4) -> ThermalBC:
     return ThermalBC(h, ambient)
 
 
-# [thermal] setting -> (test, rule stated in the error)
-_THERMAL_RULES = {
-    "ambient": (lambda v: v > 0, "must be positive"),
-    "top_h": (lambda v: v > 0, "must be positive"),
+# [thermal] setting or hotspot total_power -> (test, rule stated in the error)
+THERMAL_RULES = {
+    "ambient": (lambda v: 0 < v < math.inf, "must be positive and finite"),
+    "top_h": POSITIVE,
     "tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "concentration": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+    "total_power": (lambda v: v >= 0, "must be non-negative"),
 }
-
-
-def check_thermal_settings(**settings):
-    """Reject heat-solve settings (ambient, top_h, tol, concentration) out of range."""
-    for key, value in settings.items():
-        ok, rule = _THERMAL_RULES[key]
-        if not ok(value):
-            raise ConfigurationError(f"{key} {rule}, got {value}")
 
 
 @dataclass
@@ -170,9 +168,7 @@ def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float
     the power lands uniformly in that half, the rest uniformly in the
     other half. The field integrates to total_power exactly.
     """
-    if total_power < 0:
-        raise ConfigurationError("total_power must be non-negative")
-    check_thermal_settings(concentration=concentration)
+    check_rules(THERMAL_RULES, {"total_power": total_power, "concentration": concentration})
     mask = grid.cells_of_label(device_region)
     if not mask.any():
         raise RegionNotFoundError(f"no cells labeled {device_region!r}")

@@ -435,38 +435,27 @@ def resistor_load_mna(devices):
 
 
 def failing_newton(monkeypatch, fails):
-    """Patch `_Mna.newton` to return None wherever fails(t, dt, scale) holds;
-    returns the list of (t, dt, scale) of every call."""
+    """Patch `_Mna.newton` to return None wherever fails(t, dt) holds;
+    returns the list of (t, dt) of every call."""
     newton = _Mna.newton
     calls = []
 
-    def patched(self, x_prev, t, dt, source_scale=1.0):
-        calls.append((t, dt, source_scale))
-        if fails(t, dt, source_scale):
+    def patched(self, x_prev, t, dt):
+        calls.append((t, dt))
+        if fails(t, dt):
             return None
-        return newton(self, x_prev, t, dt, source_scale)
+        return newton(self, x_prev, t, dt)
 
     monkeypatch.setattr(circuit._Mna, "newton", patched)
     return calls
 
 
-def test_dc_source_stepping_reaches_the_direct_operating_point(devices, monkeypatch):
-    mna = resistor_load_mna(devices)
-    direct = mna.dc_operating_point()
-    assert 0.1 < direct[mna.node_index["Output"]] < 0.2
-    calls = failing_newton(monkeypatch, lambda t, dt, scale: len(calls) == 1)
-    stepped = mna.dc_operating_point()
-    scales = [scale for _, _, scale in calls]
-    assert scales == pytest.approx([1.0, *np.linspace(0.1, 1.0, 10)], abs=1e-15)
-    assert np.abs(stepped - direct).max() < circuit.ABSTOL
-
-
-def test_dc_source_stepping_failure_raises_at_time_zero(devices, monkeypatch):
-    calls = failing_newton(monkeypatch, lambda t, dt, scale: scale == 1.0 or scale > 0.45)
+def test_failed_dc_solve_raises_at_time_zero(devices, monkeypatch):
+    calls = failing_newton(monkeypatch, lambda t, dt: dt is None)
     with pytest.raises(TransientFailureError, match="DC operating point") as err:
         resistor_load_mna(devices).dc_operating_point()
     assert err.value.time == 0.0
-    assert [scale for _, _, scale in calls][-1] == pytest.approx(0.5)
+    assert calls == [(0.0, None)]  # one direct solve, no fallback
 
 
 def test_transient_step_failure_names_the_smallest_step(devices, monkeypatch):
@@ -474,16 +463,16 @@ def test_transient_step_failure_names_the_smallest_step(devices, monkeypatch):
     stim = Stimulus()
     dt = stim.dt
     t_fail = 3 * dt  # the step ending at 4 dt fails at every step size
-    calls = failing_newton(monkeypatch, lambda t, step, scale: step is not None and t > t_fail)
+    calls = failing_newton(monkeypatch, lambda t, step: step is not None and t > t_fail)
     with pytest.raises(TransientFailureError, match="dt/64") as err:
         transient(build_inverter_netlist(pn, pp, VDD, 1e-16, stim), stim.tstop, dt)
     assert err.value.time == pytest.approx(t_fail + dt / 64, rel=1e-12)
-    failed = [step for t, step, _ in calls if step is not None and t > t_fail]
+    failed = [step for t, step in calls if step is not None and t > t_fail]
     assert failed == pytest.approx([dt / 2**k for k in range(7)], rel=1e-9)
 
 
 def test_cli_delay_transient_failure_exits_three(tmp_path, monkeypatch, capsys):
-    failing_newton(monkeypatch, lambda t, dt, scale: dt is not None)
+    failing_newton(monkeypatch, lambda t, dt: dt is not None)
     rc = cli.main(["delay", str(SAMPLE_CONFIG), "--design", "2tier",
                    "--parasitics", "off", "--out", str(tmp_path / "delay")])
     assert rc == 3

@@ -770,8 +770,9 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
 
 @pytest.mark.parametrize("text, message", [
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nedge_ps = 15\nperiod_ps = 20"),
-     "[experiment] edge_ps = 15.0 does not fit period_ps = 20.0"),
-    (BASE_CONFIG + "\n[materials.sio2]\nkappa = -1\n", "sio2: kappa must be positive"),
+     "[experiment] edge_ps must lie in (0, 0.4 period_ps) for period_ps = 20.0, got 15.0"),
+    (BASE_CONFIG + "\n[materials.sio2]\nkappa = -1\n",
+     "[materials.sio2] kappa must be positive, got -1.0"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.mu0 = -600"),
      "[experiment] n.mu0 must be positive, got -600.0"),
     (BASE_CONFIG.replace("n.ss = 75\n", ""), "[experiment] n.*: give all four targets"),
@@ -805,10 +806,18 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[experiment] n.c_gd must lie in [0, c_g = 5e-17], got -1e-17"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.c_gd = 1e-16"),
      "[experiment] n.c_gd must lie in [0, c_g = 5e-17], got 1e-16"),
+    (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\ntier_gap = 0nm"),
+     "[stack] tier_gap must be positive, got 0.0"),
+    (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\nstandoff = -5nm"),
+     "[stack] standoff must be positive, got -5.0"),
+    (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\npair_gap = -5nm"),
+     "[stack] pair_gap must be positive, got -5.0"),
+    (BASE_CONFIG + "\n[materials.hfo2]\neps_r = 0.5\n",
+     "[materials.hfo2] eps_r must be >= 1, got 0.5"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
         "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
         "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
-        "n.c_gd-above-c_g"])
+        "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r"])
 @pytest.mark.parametrize("command", [
     ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
     ["delay", "--design", "2tier"],

@@ -15,6 +15,7 @@ from cfetsim.device import (
     _brentq,
     calibrate,
     calibration_residuals,
+    current_magnitude,
     drain_current,
     extract_targets,
     fit_ion,
@@ -324,6 +325,15 @@ def test_she_one_way_coupling(device_grid2, library):
     op = she_operating_point(p, VDD, she_context(device_grid2, library, "tier1.channel"))
     assert op.delta_t > 0.0
     assert op.ion_degradation == pytest.approx(0.0, abs=1e-4)
+
+
+def test_she_degradation_is_relative_to_the_current_at_ambient(device_grid2, library):
+    p = CompactModelParams()
+    ctx = ThermalContext(device_grid2, library, default_bc(ambient=350.0), "tier1.channel")
+    op = she_operating_point(p, VDD, ctx)
+    i_ambient = current_magnitude(p, VDD, VDD, 350.0)
+    assert op.t_channel > 350.0
+    assert op.ion_degradation == pytest.approx(1.0 - op.id / i_ambient, rel=1e-12)
 
 
 def test_she_stronger_pfet_hotter(device_grid2, library):

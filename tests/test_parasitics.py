@@ -135,6 +135,23 @@ def test_disconnected_terminals_raise(library):
         extract_resistance(grid, library, [("A", "B")], terminals={"A": t1, "B": t2})
 
 
+def test_terminals_on_two_parts_of_one_label_raise(library):
+    """One label on two bars that do not touch: the labels agree, the parts do not."""
+    regions = [
+        Region(((0, 50), (0, 4), (0, 4)), "sio2"),
+        Region(((0, 20), (0, 4), (0, 4)), "interconnect_metal", label="bar"),
+        Region(((30, 50), (0, 4), (0, 4)), "interconnect_metal", label="bar"),
+    ]
+    grid = voxelize(regions, 2.0)
+    faces = boundary_port_faces(grid, "bar")
+    terms = {"A": [f for f in faces if f[1] == 0 and f[2] == 0],
+             "B": [f for f in faces if f[1] == 0 and f[2] == 1]}
+    assert terms["A"] and terms["B"]
+    with pytest.raises(ConnectivityError,
+                       match="^terminals on 'bar' are not on one connected component$"):
+        extract_resistance(grid, library, [("A", "B")], terminals=terms)
+
+
 @pytest.mark.parametrize("empty", ["A", "B", "both"])
 def test_terminal_without_faces_raises(library, empty):
     grid = bar_grid()
