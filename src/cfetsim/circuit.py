@@ -370,7 +370,8 @@ def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelPar
 
     Rail-side nodes keep the names Input / Output / Power; Ground is the
     global reference. A parasitic rail resistor separates the device-side
-    node from its rail, otherwise the two are merged.
+    node from its rail, otherwise the two are merged, and a spliced
+    element on either name lands on the merged node.
     """
     nl = Netlist()
     para_elements = list(parasitics.elements) if parasitics is not None else []
@@ -400,11 +401,10 @@ def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelPar
     if load_c > 0:
         nl.add(Capacitor("Cload", node_of["Output"], GROUND, load_c))
 
-    rename = lambda n: GROUND if n == "Ground" else n
     for el in para_elements:
         if not isinstance(el, (Resistor, Capacitor)):
             raise NetlistError(f"cannot splice element {el!r}")
-        nl.add(replace(el, n1=rename(el.n1), n2=rename(el.n2)))
+        nl.add(replace(el, n1=node_of.get(el.n1, el.n1), n2=node_of.get(el.n2, el.n2)))
     return nl
 
 

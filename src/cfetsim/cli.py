@@ -191,8 +191,9 @@ def cmd_delay(args) -> int:
         lines += [f"delta_t_n_K={float(res.delta_t['n'])!r}",
                   f"delta_t_p_K={float(res.delta_t['p'])!r}"]
     else:
-        result = circuit.inverter_experiment(nparams, pparams, vdd, para,
-                                             config.load_c, config.stimulus)
+        ambient = config.bc.ambient
+        result = circuit.inverter_experiment(nparams, pparams, vdd, para, config.load_c,
+                                             config.stimulus, t_n=ambient, t_p=ambient)
     lines += [
         f"tp_without_ps={float(result.tp_without * 1e12)!r}",
         f"tp_with_ps={float(result.tp_with * 1e12)!r}",
@@ -275,7 +276,7 @@ def main(argv=None) -> int:
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigurationError, CfetSimError) as exc:
+    except CfetSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

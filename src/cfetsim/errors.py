@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class CfetSimError(Exception):
     """Base class for all package errors."""
@@ -9,7 +11,7 @@ class ConfigurationError(CfetSimError):
     """Invalid run configuration or input parameters."""
 
 
-POSITIVE = (lambda v: v > 0, "must be positive")
+POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
 
 
 def check_rules(rules: dict, values: dict, error=ConfigurationError):

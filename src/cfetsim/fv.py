@@ -6,7 +6,9 @@ is A / (d1/c1 + d2/c2) with d the centre-to-face distances, which is
 exact for layered media and reduces to the harmonic mean on a uniform
 grid. A face held at a fixed value u_f couples its cell through the
 half conductance A / (d/c + r_surface), where r_surface is a series
-surface resistance (1/h for a convective face).
+surface resistance (1/h for a convective face). Callers select the fixed
+faces with `outer_faces` and `interfaces`; `assemble` computes every
+conductance.
 
 `assemble` returns the operator A over the active cells and a coupling
 matrix B with one column per fixed value, so that A u = B u_fixed + s
@@ -37,13 +39,18 @@ COARSEST = 3000  # unknowns at or below which the multigrid solves directly
 CHEB_C0, CHEB_C1 = 4 * 31 * 30 / 1081, 2 * 900 / 1081
 
 
+def widths(grid):
+    """Cell widths in m per axis, shaped by np.ix_ to broadcast against the cells."""
+    return np.ix_(*(grid.widths(a) * NM for a in range(3)))
+
+
 def _geometry(grid, axis):
     """Face areas normal to `axis` and centre-to-face distances, in m.
 
     Both broadcast against the cell arrays: the areas have length 1
     along `axis`, the distances length 1 along the other two.
     """
-    w = np.ix_(*(grid.widths(a) * NM for a in range(3)))
+    w = widths(grid)
     a, b = (x for x in range(3) if x != axis)
     return w[a] * w[b], w[axis] / 2
 
@@ -57,49 +64,60 @@ def face_pairs(axis):
     return tuple(lo), tuple(hi)
 
 
-def outer_face(axis, side):
-    """Index tuple selecting the cells on the low (side 0) or high (side 1)
-    outer face normal to `axis`."""
-    face = [slice(None)] * 3
-    face[axis] = -side
-    return tuple(face)
-
-
-def face_conductances(grid, coeff: np.ndarray) -> Iterator[np.ndarray]:
-    """Interior face conductances, one axis at a time, shaped like the cells
-    less one along that axis."""
+def outer_faces(mask: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(axis, side, flat cells) of the `mask` cells on each outer face, axis
+    by axis, the low (side 0) face first; cells in C order, possibly none."""
+    flat = np.arange(mask.size).reshape(mask.shape)
     for axis in range(3):
-        area, half = _geometry(grid, axis)
-        r = half / coeff
+        for side in (0, 1):
+            face = tuple(-side if a == axis else slice(None) for a in range(3))
+            yield axis, side, flat[face][mask[face]]
+
+
+def interfaces(inner: np.ndarray, outer: np.ndarray) -> Iterator[tuple]:
+    """(axis, side, inner cells, outer cells) of the faces between an `inner`
+    cell and an `outer` neighbour, flat indices in C order: axis by axis,
+    side 1 of the inner cell (the lower of the pair) first, then side 0."""
+    flat = np.arange(inner.size).reshape(inner.shape)
+    for axis in range(3):
         lo, hi = face_pairs(axis)
-        yield area / (r[lo] + r[hi])
+        for a, b, side in ((lo, hi, 1), (hi, lo, 0)):
+            m = inner[a] & outer[b]
+            yield axis, side, flat[a][m], flat[b][m]
 
 
-def half_conductance(grid, coeff: np.ndarray, cells: np.ndarray, axis: int,
-                     r_surface: float = 0.0) -> np.ndarray:
-    """Conductance from the centres of flat `cells` to their faces normal to `axis`."""
+def _half_conductance(grid, coeff, cells, axis, r_surface):
+    """Conductance from the centres of flat `cells` to their faces normal to
+    `axis`, with `r_surface` in series."""
     area, half = _geometry(grid, axis)
     area = np.broadcast_to(area, grid.dims).ravel()[cells]
     half = np.broadcast_to(half, grid.dims).ravel()[cells]
     return area / (half / coeff.ravel()[cells] + r_surface)
 
 
-def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, ncols: int):
-    """(A, B) over the active cells; `fixed` lists (flat cells, g, column) faces.
+def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
+    """(A, B) over the active cells, with one column of B per fixed value.
 
-    `column` is one index for all the faces of an entry, or one per face.
-    B[i, j] is the conductance from active cell i to fixed value j, and
-    the diagonal of A holds every face conductance of its cell. Faces
-    between active and inactive cells that `fixed` does not name carry
-    no flux.
+    `fixed` lists (axis, flat cells, column) groups of faces normal to
+    `axis` on active cells, `column` one index for the group or one per
+    cell; each couples through its half conductance with `r_surface[column]`
+    in series. B[i, j] is the conductance from active cell i to fixed value
+    j, and the diagonal of A holds every face conductance of its cell.
+    Faces between active and inactive cells that `fixed` does not name
+    carry no flux.
     """
+    r_surface = np.asarray(r_surface, dtype=float)
     n = int(active.sum())
     dof = np.full(grid.dims, -1, dtype=np.int64)
     dof[active] = np.arange(n)
     diag = np.zeros(n)
     rows, cols, vals = [], [], []
-    for axis, g in enumerate(face_conductances(grid, coeff)):
-        lo, hi = (dof[s] for s in face_pairs(axis))
+    for axis in range(3):  # interior faces: A / (d_lo / c_lo + d_hi / c_hi)
+        area, half = _geometry(grid, axis)
+        r = half / coeff
+        s_lo, s_hi = face_pairs(axis)
+        g = area / (r[s_lo] + r[s_hi])
+        lo, hi = dof[s_lo], dof[s_hi]
         both = (lo >= 0) & (hi >= 0)
         lo, hi, g = lo[both], hi[both], g[both]
         rows += [lo, hi]
@@ -109,7 +127,8 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, ncols: int):
         np.add.at(diag, hi, g)
 
     b_rows, b_cols, b_vals = [], [], []
-    for cells, g, column in fixed:
+    for axis, cells, column in fixed:
+        g = _half_conductance(grid, coeff, cells, axis, r_surface[column])
         d = dof.ravel()[cells]
         np.add.at(diag, d, g)
         b_rows.append(d)
@@ -124,7 +143,7 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, ncols: int):
         shape=(n, n)).tocsr()
     b_mat = sparse.coo_matrix(
         (np.concatenate(b_vals), (np.concatenate(b_rows), np.concatenate(b_cols))),
-        shape=(n, ncols)).tocsr()
+        shape=(n, r_surface.size)).tocsr()
     return a_mat, b_mat
 
 

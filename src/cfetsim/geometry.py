@@ -41,12 +41,13 @@ Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 _RULES = {
     **dict.fromkeys(("gate_length", "sheet_width", "sheet_thickness", "eot",
                      "spacer_thickness", "gate_metal_thickness", "vdd"), POSITIVE),
-    "sd_extension": (lambda v: v is None or v > 0, "must be positive"),
+    "sd_extension": (lambda v: v is None or POSITIVE[0](v), POSITIVE[1]),
     "tier_count": (lambda v: v in (2, 4), "must be 2 or 4"),
     **dict.fromkeys(("tier_gap", "pair_gap", "standoff", "gap_below", "substrate_thickness",
                      "via_cross_section", "metal_thickness", "bpr_thickness", "margin"),
                     POSITIVE),
     "bpr_depth": (lambda v: v >= 0, "must be non-negative"),
+    "mol_standoff": (lambda v: 0 <= v < math.inf, "must be non-negative and finite"),
     "polarity": (lambda v: v in ("n", "p"), "must be n or p"),
 }
 
@@ -167,7 +168,6 @@ class _TierFrame:
     """Resolved z-coordinates of one tier, all in nm."""
 
     index: int
-    polarity: str
     sheet_z0: float
     sheet_z1: float
     shell_z0: float  # bottom of the gate metal
@@ -183,7 +183,7 @@ def _tier_frames(spec: DeviceSpec, config: StackConfig) -> list[_TierFrame]:
         sheet_z0 = shell_z0 + shell
         sheet_z1 = sheet_z0 + spec.sheet_thickness
         shell_z1 = sheet_z1 + shell
-        frames.append(_TierFrame(i, tier.polarity, sheet_z0, sheet_z1, shell_z0, shell_z1))
+        frames.append(_TierFrame(i, sheet_z0, sheet_z1, shell_z0, shell_z1))
         prev_top = shell_z1
     return frames
 

@@ -40,8 +40,9 @@ EPS0 = 8.8541878128e-12  # F/m
 FLOATING_METAL_EPS = 1000.0  # quasi-equipotential stand-in for unlisted metal
 MAXWELL_RTOL = 1e-9  # symmetry and coupling-sign tolerance, relative to the largest entry
 
-# face sets are (flat cell index, axis, side) with side 0 = low face
-Face = tuple[int, int, int]
+# a terminal lists non-empty (axis, side, flat cells) groups of faces normal
+# to `axis`, on the low (side 0) or high (side 1) face of each cell
+Terminal = list[tuple[int, int, np.ndarray]]
 
 
 @dataclass
@@ -117,18 +118,11 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     # F/m; the cells of the extracted conductors are excluded from the domain
     eps = per_cell(grid, materials, lambda m: (
         FLOATING_METAL_EPS if m.role == "conductor" else m.eps_r) * EPS0)
-    idx = np.arange(grid.n_cells).reshape(grid.dims)
 
     # Dirichlet on each conductor face, column = conductor
-    fixed = []
-    for axis in range(3):
-        lo, hi = fv.face_pairs(axis)
-        for inner, outer in ((lo, hi), (hi, lo)):
-            m = domain[inner] & ~domain[outer]
-            cells = idx[inner][m]
-            fixed.append((cells, fv.half_conductance(grid, eps, cells, axis),
-                          cond_id[outer][m]))
-    mat, coupling = fv.assemble(grid, eps, domain, fixed, nrhs)
+    fixed = [(axis, cells, cond_id.ravel()[outer])
+             for axis, _, cells, outer in fv.interfaces(domain, ~domain)]
+    mat, coupling = fv.assemble(grid, eps, domain, fixed, np.zeros(nrhs))
     precond = fv.multigrid(mat, domain)  # one hierarchy for every right-hand side
 
     phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
@@ -152,36 +146,24 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     return CapacitanceMatrix(list(conductors), sym, asymmetry=asym, clipped=clipped)
 
 
-def boundary_port_faces(grid: VoxelGrid, label: str) -> list[Face]:
+def boundary_port_faces(grid: VoxelGrid, label: str) -> Terminal:
     """Faces of a labeled conductor that lie on the outer grid boundary."""
     mask = grid.cells_of_label(label)
     if not mask.any():
         raise RegionNotFoundError(f"no cells labeled {label!r}")
-    faces = []
-    flat = np.arange(grid.n_cells).reshape(grid.dims)
-    for axis in range(3):
-        for side in (0, 1):
-            face = fv.outer_face(axis, side)
-            faces.extend((int(c), axis, side) for c in flat[face][mask[face]])
-    return faces
+    return [g for g in fv.outer_faces(mask) if g[2].size]
 
 
-def contact_faces(grid: VoxelGrid, label: str, target_labels: list[str]) -> list[Face]:
+def contact_faces(grid: VoxelGrid, label: str, target_labels: list[str]) -> Terminal:
     """Faces where the conductor touches any of the target labels."""
-    mask = grid.cells_of_label(label)
-    tmask = np.zeros(grid.dims, dtype=bool)
+    targets = np.zeros(grid.dims, dtype=bool)
     for t in target_labels:
-        tmask |= grid.cells_of_label(t)
-    faces = []
-    flat = np.arange(grid.n_cells).reshape(grid.dims)
-    for axis in range(3):
-        lo, hi = fv.face_pairs(axis)
-        faces.extend((int(c), axis, 1) for c in flat[lo][mask[lo] & tmask[hi]])
-        faces.extend((int(c), axis, 0) for c in flat[hi][mask[hi] & tmask[lo]])
-    return faces
+        targets |= grid.cells_of_label(t)
+    return [(axis, side, cells) for axis, side, cells, _ in
+            fv.interfaces(grid.cells_of_label(label), targets) if cells.size]
 
 
-def inverter_terminals(grid: VoxelGrid, wired: tuple[int, int]) -> dict[str, list[Face]]:
+def inverter_terminals(grid: VoxelGrid, wired: tuple[int, int]) -> dict[str, Terminal]:
     """Port and device-end terminals for the four rails of a wired pair."""
     p_tier, n_tier = wired
     tiers = [p_tier, n_tier]
@@ -207,7 +189,7 @@ DEFAULT_PAIRS = (("Ground", "NSource"), ("PSource", "Power"),
 
 def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
                        pairs=DEFAULT_PAIRS, *,
-                       terminals: dict[str, list[Face]]) -> ResistanceReport:
+                       terminals: dict[str, Terminal]) -> ResistanceReport:
     """Terminal-pair resistances solved inside each conductor volume."""
     label_flat = grid.label.ravel()
     entries = []
@@ -217,12 +199,10 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
                 raise ConnectivityError(f"unknown terminal {t!r}")
             if not terminals[t]:
                 raise ConnectivityError(f"terminal {t!r} has no faces")
-        cells_a = {c for c, _, _ in terminals[a]}
-        cells_b = {c for c, _, _ in terminals[b]}
-        labels = {int(label_flat[c]) for c in cells_a | cells_b}
-        if len(labels) != 1:
+        labels = np.unique(label_flat[_cells(terminals[a] + terminals[b])])
+        if labels.size != 1:
             raise ConnectivityError(f"terminals {a}/{b} span different conductors")
-        code = labels.pop()
+        code = int(labels[0])
         if code < 0:
             raise ConnectivityError(f"terminals {a}/{b} lie on no labelled conductor")
         r, mism = _conduction_solve(grid, materials, grid.label_names[code],
@@ -231,27 +211,27 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
     return ResistanceReport(entries)
 
 
-def _conduction_solve(grid, materials, label_name, faces_a, faces_b):
+def _cells(terminal: Terminal) -> np.ndarray:
+    return np.concatenate([cells for _, _, cells in terminal])
+
+
+def _conduction_solve(grid, materials, label_name, term_a, term_b):
     mask = grid.cells_of_label(label_name)
     rho = per_cell(grid, materials, lambda m: m.rho_e if m.role == "conductor" else np.inf)
     if not np.isfinite(rho[mask]).all():
         raise ConnectivityError(f"conductor {label_name!r} has non-metal cells")
 
     parts = face_components(np.where(mask, 0, -1)).ravel()
-    part_a = {int(parts[c]) for c, _, _ in faces_a}
-    part_b = {int(parts[c]) for c, _, _ in faces_b}
-    if part_a != part_b or len(part_a) != 1 or -1 in part_a:
+    part_a = np.unique(parts[_cells(term_a)])
+    part_b = np.unique(parts[_cells(term_b)])
+    if part_a.size != 1 or not np.array_equal(part_a, part_b) or part_a[0] < 0:
         raise ConnectivityError(
             f"terminals on {label_name!r} are not on one connected component")
 
     sigma = np.where(mask, 1.0 / rho, 1.0)  # 1 keeps faces off the conductor finite
-    fixed = []
-    for column, faces in enumerate((faces_a, faces_b)):
-        f = np.array(faces, dtype=np.int64).reshape(-1, 3)
-        for axis in range(3):
-            cells = f[f[:, 1] == axis, 0]
-            fixed.append((cells, fv.half_conductance(grid, sigma, cells, axis), column))
-    mat, coupling = fv.assemble(grid, sigma, mask, fixed, 2)
+    fixed = [(axis, cells, column) for column, term in enumerate((term_a, term_b))
+             for axis, _, cells in term]
+    mat, coupling = fv.assemble(grid, sigma, mask, fixed, np.zeros(2))
     v_fixed = np.array([1.0, 0.0])
     phi = spla.spsolve(mat, coupling @ v_fixed)
     currents = fv.boundary_flux(coupling, phi, v_fixed)

@@ -65,8 +65,8 @@ def default_bc(ambient: float = 300.0, top_h: float = 5e4) -> ThermalBC:
 
 # [thermal] setting or hotspot total_power -> (test, rule stated in the error)
 THERMAL_RULES = {
-    "ambient": (lambda v: 0 < v < math.inf, "must be positive and finite"),
-    "top_h": POSITIVE,
+    "ambient": POSITIVE,
+    "top_h": (lambda v: v > 0, "must be positive"),  # inf holds the top face at ambient
     "tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "concentration": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
     "total_power": (lambda v: v >= 0, "must be non-negative"),
@@ -115,21 +115,15 @@ class ThermalOperator:
 def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> ThermalOperator:
     """Build the conduction operator A with A T = q V + B T_sink."""
     k = per_cell(grid, materials, lambda m: m.kappa)
-    idx = np.arange(grid.n_cells).reshape(grid.dims)
-    sinks = []
-    for j, key in enumerate(FACE_KEYS):
-        h = bc.h[key]
-        if h == 0:
-            continue
-        axis, side = divmod(j, 2)
-        cells = idx[fv.outer_face(axis, side)].ravel()
-        g = fv.half_conductance(grid, k, cells, axis, 1.0 / h)
-        sinks.append((cells, g, len(sinks)))
     everywhere = np.ones(grid.dims, dtype=bool)
-    mat, boundary = fv.assemble(grid, k, everywhere, sinks, len(sinks))
-    wx, wy, wz = np.ix_(*(grid.widths(a) * NM for a in range(3)))
-    vol = (wx * wy * wz).ravel()
-    return ThermalOperator(mat, boundary, grid, bc.ambient, vol,
+    sinks, r_sink = [], []  # FACE_KEYS follow the order of fv.outer_faces
+    for key, (axis, _, cells) in zip(FACE_KEYS, fv.outer_faces(everywhere)):
+        if bc.h[key]:
+            sinks.append((axis, cells, len(r_sink)))
+            r_sink.append(1.0 / bc.h[key])
+    mat, boundary = fv.assemble(grid, k, everywhere, sinks, r_sink)
+    wx, wy, wz = fv.widths(grid)
+    return ThermalOperator(mat, boundary, grid, bc.ambient, (wx * wy * wz).ravel(),
                            fv.multigrid(mat, everywhere))
 
 

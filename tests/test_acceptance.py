@@ -204,8 +204,8 @@ def test_criterion_3_extraction_analytic_oracles(library, device_spec):
             g = voxelize([Region(((0, length), (0, 5.0), (0, 5.0)),
                                  "interconnect_metal", label="bar")], 2.0)
             faces = boundary_port_faces(g, "bar")
-            terms = {"A": [f for f in faces if f[1] == 0 and f[2] == 0],
-                     "B": [f for f in faces if f[1] == 0 and f[2] == 1]}
+            terms = {"A": [f for f in faces if f[:2] == (0, 0)],
+                     "B": [f for f in faces if f[:2] == (0, 1)]}
             return extract_resistance(g, library, [("A", "B")],
                                       terminals=terms).entries[0].r
 

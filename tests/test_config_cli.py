@@ -495,6 +495,38 @@ def test_cmd_delay_parasitics_increase_tp(tmp_path):
     assert (out_on / "waveforms.csv").exists()
 
 
+def test_cmd_delay_splices_elements_on_merged_device_nodes(tmp_path):
+    """Without rail resistors each device node is merged into its rail, so a
+    capacitor between Drain and Gate is the one between Output and Input."""
+    path = write_config(tmp_path)
+    outputs = []
+    for a, b in (("Drain", "Gate"), ("Output", "Input")):
+        para = tmp_path / f"{a}.sp"
+        para.write_text(f"C_{a}_{b} {a} {b} 1.000e-17\n")
+        out = tmp_path / a
+        assert cli.main(["delay", path, "--design", "2tier", "--parasitics", str(para),
+                         "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().replace(para.name, "FILE")
+        outputs.append((report, (out / "waveforms.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cmd_delay_without_she_runs_at_ambient(tmp_path, monkeypatch):
+    temperatures = []
+    real = circuit.transient
+
+    def recording(netlist, *args, **kwargs):
+        temperatures.extend(el.temperature for el in netlist.elements
+                            if isinstance(el, circuit.Transistor))
+        return real(netlist, *args, **kwargs)
+
+    monkeypatch.setattr(circuit, "transient", recording)
+    path = write_config(tmp_path, BASE_CONFIG.replace("power = 2e-6", "ambient = 350K"))
+    assert cli.main(["delay", path, "--design", "2tier", "--she", "off",
+                     "--out", str(tmp_path / "d")]) == 0
+    assert temperatures == [350.0, 350.0]
+
+
 def test_cmd_delay_waveform_headers_pin_node_names(tmp_path):
     # a rail resistor keeps the device-side node; without one the rail's name survives
     path = write_config(tmp_path)
@@ -772,25 +804,26 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nedge_ps = 15\nperiod_ps = 20"),
      "[experiment] edge_ps must lie in (0, 0.4 period_ps) for period_ps = 20.0, got 15.0"),
     (BASE_CONFIG + "\n[materials.sio2]\nkappa = -1\n",
-     "[materials.sio2] kappa must be positive, got -1.0"),
+     "[materials.sio2] kappa must be positive and finite, got -1.0"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.mu0 = -600"),
-     "[experiment] n.mu0 must be positive, got -600.0"),
+     "[experiment] n.mu0 must be positive and finite, got -600.0"),
     (BASE_CONFIG.replace("n.ss = 75\n", ""), "[experiment] n.*: give all four targets"),
     (BASE_CONFIG.replace("n.ioff = 1e-10", "n.ioff = 1e-3"),
      "[experiment] n.ion > n.ioff > 0 must hold, got ion = 6e-05, ioff = 0.001"),
     (BASE_CONFIG.replace("n.vth = 0.30V\nn.ss = 75\nn.ioff = 1e-10\nn.ion = 6.0e-5",
                          "n.ion = -1e-5"),
-     "[experiment] n.ion must be positive, got -1e-05"),
+     "[experiment] n.ion must be positive and finite, got -1e-05"),
     (BASE_CONFIG.replace("resolution = 4nm", "resolution = 0nm"),
-     "[mesh] resolution must be positive, got 0.0"),
+     "[mesh] resolution must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("resolution = 4nm", "resolution = 4nm\nrefine.hfo2 = 0nm"),
-     "[mesh] refine.hfo2 must be positive, got 0.0"),
+     "[mesh] refine.hfo2 must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("tier_count = 2", "tier_count = 3"),
      "[stack] tier_count must be 2 or 4, got 3"),
     (BASE_CONFIG.replace("vdd = 0.75V", "vdd = -1V"), "[device] vdd must be positive"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\np.vsat0 = 0"),
-     "[experiment] p.vsat0 must be positive, got 0.0"),
-    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 0"), "[experiment] dt_fs must be positive, got 0.0"),
+     "[experiment] p.vsat0 must be positive and finite, got 0.0"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 0"),
+     "[experiment] dt_fs must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntop_h = 0"),
      "[thermal] top_h must be positive, got 0.0"),
     (BASE_CONFIG + "\n[she]\ndamping = 0\n", "[she] damping must lie in (0, 1], got 0.0"),
@@ -807,17 +840,29 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 10\nn.c_gd = 1e-16"),
      "[experiment] n.c_gd must lie in [0, c_g = 5e-17], got 1e-16"),
     (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\ntier_gap = 0nm"),
-     "[stack] tier_gap must be positive, got 0.0"),
+     "[stack] tier_gap must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\nstandoff = -5nm"),
-     "[stack] standoff must be positive, got -5.0"),
+     "[stack] standoff must be positive and finite, got -5.0"),
     (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\npair_gap = -5nm"),
-     "[stack] pair_gap must be positive, got -5.0"),
+     "[stack] pair_gap must be positive and finite, got -5.0"),
     (BASE_CONFIG + "\n[materials.hfo2]\neps_r = 0.5\n",
      "[materials.hfo2] eps_r must be >= 1, got 0.5"),
+    (BASE_CONFIG.replace("vdd = 0.75V", "vdd = inf"),
+     "[device] vdd must be positive and finite, got inf"),
+    (BASE_CONFIG.replace("gate_length = 15nm", "gate_length = inf"),
+     "[device] gate_length must be positive and finite, got inf"),
+    (BASE_CONFIG.replace("gate_length = 15nm", "gate_length = 15nm\nsd_extension = inf"),
+     "[device] sd_extension must be positive and finite, got inf"),
+    (BASE_CONFIG.replace("margin = 12nm", "margin = 12nm\nmol_standoff = -30nm"),
+     "[beol] mol_standoff must be non-negative and finite, got -30.0"),
+    (BASE_CONFIG.replace("margin = 12nm", "margin = 12nm\nmol_standoff = inf"),
+     "[beol] mol_standoff must be non-negative and finite, got inf"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
         "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
         "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
-        "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r"])
+        "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r",
+        "vdd-inf", "gate_length-inf", "sd_extension-inf", "mol_standoff",
+        "mol_standoff-inf"])
 @pytest.mark.parametrize("command", [
     ["calibrate"], ["thermal", "--device", "0:p"], ["extract", "--design", "2tier"],
     ["delay", "--design", "2tier"],
@@ -889,6 +934,12 @@ def test_cmd_thermal_bad_setting_rejected_at_load(tmp_path, monkeypatch, capsys,
     rc = cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "t")])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_top_h_inf_holds_the_top_face(tmp_path):
+    config = load_config(write_config(tmp_path, BASE_CONFIG.replace(
+        "power = 2e-6", "power = 2e-6\ntop_h = inf")))
+    assert config.bc.h["z_max"] == float("inf")
 
 
 @pytest.mark.parametrize("beol, key", [

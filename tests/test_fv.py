@@ -38,8 +38,9 @@ def run_capacitance(grid, lib):
 
 
 def run_conduction(grid, lib):
-    faces = [f for f in boundary_port_faces(grid, "A") if f[1] == 0]
-    terminals = {"a": [f for f in faces if f[2] == 0], "b": [f for f in faces if f[2] == 1]}
+    faces = boundary_port_faces(grid, "A")
+    terminals = {"a": [g for g in faces if g[:2] == (0, 0)],
+                 "b": [g for g in faces if g[:2] == (0, 1)]}
     extract_resistance(grid, lib, pairs=[("a", "b")], terminals=terminals)
 
 
@@ -68,12 +69,50 @@ def test_boundary_flux_is_the_face_sum():
     grid = two_material_grid()
     kappa = np.full(grid.dims, 2.0)
     cells = np.arange(grid.dims[1] * grid.dims[2])  # the x_min face
-    g = fv.half_conductance(grid, kappa, cells, 0)
+    wx, wy, wz = (grid.widths(a) * fv.NM for a in range(3))
+    g = (np.outer(wy, wz) / (wx[0] / 2 / 2.0)).ravel()  # area / (d / kappa)
     a_mat, b_mat = fv.assemble(grid, kappa, np.ones(grid.dims, dtype=bool),
-                               [(cells, g, 0)], 1)
+                               [(0, cells, 0)], [0.0])
     u = np.random.default_rng(3).random(grid.n_cells)
     flux = fv.boundary_flux(b_mat, u, np.array([0.5]))
     assert flux[0] == pytest.approx((g * (0.5 - u[cells])).sum(), rel=1e-12)
+
+
+MASK_CASES = [(seed, shape) for seed in range(3) for shape in ((4, 5, 3), (3, 1, 4))]
+
+
+def neighbour(shape, cell, axis, side):
+    """Flat index of the face neighbour of `cell` on `side` of `axis`, or None."""
+    idx = list(np.unravel_index(cell, shape))
+    idx[axis] += 1 if side else -1
+    return int(np.ravel_multi_index(idx, shape)) if 0 <= idx[axis] < shape[axis] else None
+
+
+@pytest.mark.parametrize("seed, shape", MASK_CASES)
+def test_outer_faces_match_a_cell_by_cell_search(seed, shape):
+    mask = np.random.default_rng(seed).random(shape) < 0.5
+    groups = list(fv.outer_faces(mask))
+    assert [g[:2] for g in groups] == [(a, s) for a in range(3) for s in (0, 1)]
+    brute = [(axis, side, cell) for axis in range(3) for side in (0, 1)
+             for cell in range(mask.size)
+             if mask.flat[cell] and neighbour(shape, cell, axis, side) is None]
+    assert [(a, s, int(c)) for a, s, cells in groups for c in cells] == brute
+
+
+@pytest.mark.parametrize("seed, shape", MASK_CASES)
+def test_interfaces_match_a_cell_by_cell_search(seed, shape):
+    inner, outer = np.random.default_rng(seed).random((2, *shape)) < 0.5
+    groups = list(fv.interfaces(inner, outer))
+    assert [g[:2] for g in groups] == [(a, s) for a in range(3) for s in (1, 0)]
+    brute = []
+    for axis in range(3):
+        for side in (1, 0):
+            for cell in range(inner.size):
+                other = neighbour(shape, cell, axis, side)
+                if inner.flat[cell] and other is not None and outer.flat[other]:
+                    brute.append((axis, side, cell, other))
+    assert [(a, s, int(c), int(o)) for a, s, cells, others in groups
+            for c, o in zip(cells, others, strict=True)] == brute
 
 
 def recorded_multigrids(monkeypatch):

@@ -49,7 +49,8 @@ def test_device_spec_invariants():
 @pytest.mark.parametrize("key", ["gate_length", "sheet_width", "sheet_thickness", "eot",
                                  "spacer_thickness", "gate_metal_thickness"])
 def test_device_spec_names_the_bad_length(key):
-    with pytest.raises(ConfigurationError, match=f"^{key} must be positive, got 0.0$"):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{key} must be positive and finite, got 0.0$"):
         DeviceSpec(**{key: 0.0})
 
 

@@ -48,8 +48,8 @@ def bar_grid(length=100.0, side=5.0, res=2.0):
 def bar_end_terminals(grid):
     faces = boundary_port_faces(grid, "bar")
     return {
-        "A": [f for f in faces if f[1] == 0 and f[2] == 0],
-        "B": [f for f in faces if f[1] == 0 and f[2] == 1],
+        "A": [g for g in faces if g[:2] == (0, 0)],
+        "B": [g for g in faces if g[:2] == (0, 1)],
     }
 
 
@@ -114,8 +114,8 @@ def test_l_bend_resistance_between_straight_bounds(library):
     grid = voxelize(regions, 2.0)
     faces = boundary_port_faces(grid, "bar")
     terms = {
-        "A": [f for f in faces if f[1] == 0 and f[2] == 0],
-        "B": [f for f in faces if f[1] == 2 and f[2] == 1],
+        "A": [g for g in faces if g[:2] == (0, 0)],
+        "B": [g for g in faces if g[:2] == (2, 1)],
     }
     r = extract_resistance(grid, library, [("A", "B")], terminals=terms).entries[0].r
     rho_per = 3e-8 / ((side * NM) ** 2) * NM
@@ -129,8 +129,8 @@ def test_disconnected_terminals_raise(library):
         Region(((30, 50), (0, 4), (0, 4)), "interconnect_metal", label="bar2"),
     ]
     grid = voxelize(regions, 2.0)
-    t1 = [f for f in boundary_port_faces(grid, "bar") if f[1] == 0 and f[2] == 0]
-    t2 = [f for f in boundary_port_faces(grid, "bar2") if f[1] == 0 and f[2] == 1]
+    t1 = [g for g in boundary_port_faces(grid, "bar") if g[:2] == (0, 0)]
+    t2 = [g for g in boundary_port_faces(grid, "bar2") if g[:2] == (0, 1)]
     with pytest.raises(ConnectivityError):
         extract_resistance(grid, library, [("A", "B")], terminals={"A": t1, "B": t2})
 
@@ -144,8 +144,8 @@ def test_terminals_on_two_parts_of_one_label_raise(library):
     ]
     grid = voxelize(regions, 2.0)
     faces = boundary_port_faces(grid, "bar")
-    terms = {"A": [f for f in faces if f[1] == 0 and f[2] == 0],
-             "B": [f for f in faces if f[1] == 0 and f[2] == 1]}
+    terms = {"A": [g for g in faces if g[:2] == (0, 0)],
+             "B": [g for g in faces if g[:2] == (0, 1)]}
     assert terms["A"] and terms["B"]
     with pytest.raises(ConnectivityError,
                        match="^terminals on 'bar' are not on one connected component$"):
@@ -166,7 +166,7 @@ def test_terminal_without_faces_raises(library, empty):
 def test_terminals_on_unlabelled_cells_raise(library, inverter_grid2):
     """Unlabelled cells carry label -1, which must not index the last label."""
     cells = np.flatnonzero(inverter_grid2.label.ravel() < 0)[[0, -1]]
-    terms = {"A": [(int(cells[0]), 0, 0)], "B": [(int(cells[1]), 0, 1)]}
+    terms = {"A": [(0, 0, cells[:1])], "B": [(0, 1, cells[1:])]}
     with pytest.raises(ConnectivityError, match="no labelled conductor"):
         extract_resistance(inverter_grid2, library, [("A", "B")], terminals=terms)
 
