@@ -12,6 +12,7 @@ and analytic cases, never on these exact numbers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,11 +41,12 @@ class Material:
 # take the insulator rules
 _CONDUCTOR_RULES = {
     "kappa": POSITIVE,
-    "rho_e": (lambda v: v is not None and v > 0, "must be positive for a conductor"),
+    "rho_e": (lambda v: v is not None and 0 < v < math.inf,
+              "must be positive and finite for a conductor"),
 }
 _INSULATOR_RULES = {
     "kappa": POSITIVE,
-    "eps_r": (lambda v: v is not None and v >= 1.0, "must be >= 1"),
+    "eps_r": (lambda v: v is not None and 1.0 <= v < math.inf, "must be >= 1 and finite"),
     "rho_e": (lambda v: v is None, "is only valid for conductors"),
 }
 

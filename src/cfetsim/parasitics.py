@@ -127,9 +127,16 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
 
     phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
     rhs = coupling @ phi_fixed
-    phi = np.column_stack([
-        fv.solve_spd(mat, rhs[:, i], tol, precond, name=f"capacitance solve {name}")
-        for i, name in enumerate(conductors)])
+    # all conductors at 1 V hold the potential at 1, so the solutions sum to
+    # 1 and the last solve starts from 1 minus the others; it is still a
+    # full solve checked on its own residual, so `asymmetry` keeps its meaning
+    phi = np.empty((mat.shape[0], nrhs))
+    rest = np.ones(mat.shape[0])  # 1 minus the solutions so far
+    for i, name in enumerate(conductors):
+        phi[:, i] = fv.solve_spd(mat, rhs[:, i], tol, precond,
+                                 x0=rest if i == nrhs - 1 else None,
+                                 name=f"capacitance solve {name}")
+        rest -= phi[:, i]
     # Gauss sums: c_raw[i, j] is the charge on conductor j in solve i
     c_raw = fv.boundary_flux(coupling, phi, phi_fixed).T
 

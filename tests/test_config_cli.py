@@ -846,7 +846,11 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     (BASE_CONFIG.replace("tier_count = 2", "tier_count = 2\npair_gap = -5nm"),
      "[stack] pair_gap must be positive and finite, got -5.0"),
     (BASE_CONFIG + "\n[materials.hfo2]\neps_r = 0.5\n",
-     "[materials.hfo2] eps_r must be >= 1, got 0.5"),
+     "[materials.hfo2] eps_r must be >= 1 and finite, got 0.5"),
+    (BASE_CONFIG + "\n[materials.interlayer_dielectric]\neps_r = inf\n",
+     "[materials.interlayer_dielectric] eps_r must be >= 1 and finite, got inf"),
+    (BASE_CONFIG + "\n[materials.interconnect_metal]\nrho_e = inf\n",
+     "[materials.interconnect_metal] rho_e must be positive and finite for a conductor, got inf"),
     (BASE_CONFIG.replace("vdd = 0.75V", "vdd = inf"),
      "[device] vdd must be positive and finite, got inf"),
     (BASE_CONFIG.replace("gate_length = 15nm", "gate_length = inf"),
@@ -860,7 +864,8 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
         "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
         "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
-        "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r",
+        "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r", "eps_r-inf",
+        "rho_e-inf",
         "vdd-inf", "gate_length-inf", "sd_extension-inf", "mol_standoff",
         "mol_standoff-inf"])
 @pytest.mark.parametrize("command", [

@@ -6,7 +6,9 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from cfetsim import cli, fv
-from cfetsim.geometry import Region, voxelize
+from cfetsim.config import load_config
+from cfetsim.device import ThermalContext
+from cfetsim.geometry import RAIL_NAMES, Region, voxelize
 from cfetsim.materials import default_library
 from cfetsim.parasitics import boundary_port_faces, extract_capacitance, extract_resistance
 from cfetsim.thermal import assemble, default_bc
@@ -160,8 +162,8 @@ def test_multigrid_cycle_is_symmetric(run, monkeypatch):
 
 def plain_multigrid(a_mat, active):
     """`fv.multigrid`'s V(1,1) cycle in its plain expressions: the smoother
-    x + (C0 - C1 D^-1 A) D^-1 (b - A x) written out, restriction by
-    np.bincount and prolongation by fancy indexing."""
+    x + w D^-1 (b - A x) written out, restriction by np.bincount and
+    prolongation by fancy indexing."""
     levels, coords, dims = [], np.nonzero(active), active.shape
     while a_mat.shape[0] > fv.COARSEST:
         dims = tuple((d + 1) // 2 for d in dims)
@@ -170,23 +172,22 @@ def plain_multigrid(a_mat, active):
         coords = np.unravel_index(blocks, dims)
         n, n_coarse = a_mat.shape[0], blocks.size
         agg = agg.astype(a_mat.indices.dtype)
-        levels.append((a_mat, 1.0 / a_mat.diagonal(), agg, n_coarse))
+        levels.append((a_mat, fv.JACOBI_W / a_mat.diagonal(), agg, n_coarse))
         p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
         a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
                                         shape=(n, n_coarse))
     coarsest = spla.splu(a_mat.tocsc())
 
-    def smooth(a, dinv, b, x):
-        z = dinv * (b - a @ x)
-        return x + (fv.CHEB_C0 * z - fv.CHEB_C1 * dinv * (a @ z))
+    def smooth(a, wdinv, b, x):
+        return x + wdinv * (b - a @ x)
 
     def cycle(level, b):
         if level == len(levels):
             return coarsest.solve(b)
-        a, dinv, agg, n_coarse = levels[level]
-        x = smooth(a, dinv, b, np.zeros_like(b))
+        a, wdinv, agg, n_coarse = levels[level]
+        x = smooth(a, wdinv, b, np.zeros_like(b))
         x = x + cycle(level + 1, np.bincount(agg, b - a @ x, n_coarse))[agg]
-        return smooth(a, dinv, b, x)
+        return smooth(a, wdinv, b, x)
     return lambda b: cycle(0, b)
 
 
@@ -230,3 +231,57 @@ def test_one_hierarchy_per_operator(tmp_path, monkeypatch):
     assert cli.main(["delay", str(config), "--design", "2tier", "--parasitics", "on",
                      "--she", "on", "--out", str(tmp_path / "delay")]) == 0
     assert len(built) == 2
+
+
+@pytest.fixture(scope="module")
+def sample_cell():
+    """The sample config and its 2-tier inverter grid (3 nm, 38 x 25 x 76 cells)."""
+    config = load_config(str(SAMPLE_CONFIG))
+    return config, cli.build_inverter_grid(config, "2tier")[0]
+
+
+def counting_cg(monkeypatch):
+    """Patch `spla.cg` to record the iterations of each call, as perfbench counts them."""
+    counts = []
+    real = spla.cg
+
+    def cg(*args, callback=None, **kwargs):
+        counts.append(0)
+
+        def counting(xk):
+            counts[-1] += 1
+        return real(*args, callback=counting, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", cg)
+    return counts
+
+
+def cold_starts(monkeypatch):
+    """Patch `fv.solve_spd` to ignore any starting guess."""
+    real = fv.solve_spd
+    monkeypatch.setattr(fv, "solve_spd", lambda *args, x0=None, **kwargs: real(*args, **kwargs))
+
+
+def test_last_capacitance_solve_starts_from_the_sum_rule(sample_cell, monkeypatch):
+    config, grid = sample_cell
+    counts = counting_cg(monkeypatch)
+    warm = extract_capacitance(grid, config.library, list(RAIL_NAMES))
+    cold_starts(monkeypatch)
+    cold = extract_capacitance(grid, config.library, list(RAIL_NAMES))
+    assert len(counts) == 8  # four solves each, none restarted
+    assert counts[3] <= counts[0] / 4
+    assert np.abs(warm.c - cold.c).max() <= 1e-9 * np.abs(cold.c).max()
+
+
+def test_sample_solves_stay_within_the_iteration_budget(sample_cell, monkeypatch):
+    """Each cold capacitance solve and each unit heat solve of the sample cell
+    converges in at most 40 CG iterations, far inside `MAX_ITER`."""
+    config, grid = sample_cell
+    counts = counting_cg(monkeypatch)
+    cold_starts(monkeypatch)
+    extract_capacitance(grid, config.library, list(RAIL_NAMES))
+    for tier in (0, 1):
+        ThermalContext(grid, config.library, config.bc, f"tier{tier}.channel",
+                       **config.heat).prepare()
+    assert len(counts) == 6
+    assert max(counts) <= 40
