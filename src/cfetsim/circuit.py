@@ -333,6 +333,11 @@ class Stimulus:
             raise ConfigurationError(
                 f"edge_ps must lie in (0, 0.4 period_ps) for period_ps = "
                 f"{self.period_ps}, got {self.edge_ps}")
+        # a longer step jumps over the input edge, and the delay it measures
+        # is an artefact of the step
+        check_rules({"dt_fs": (lambda v: v <= 1000 * self.edge_ps,
+                               f"must not exceed the input edge of {1000 * self.edge_ps:g} fs")},
+                    vars(self))
 
     def pwl(self, vdd: float):
         ps = 1e-12

@@ -13,7 +13,10 @@ conductance.
 `assemble` returns the operator A over the active cells and a coupling
 matrix B with one column per fixed value, so that A u = B u_fixed + s
 for a source s. A is symmetric positive definite as soon as one fixed
-face touches every connected part of the active set.
+face touches every connected part of the active set. A is written
+straight into CSR, each row in column order; no triplet list is built or
+sorted, and its arrays scale with the active cells and their bounding
+box, not with the grid.
 
 `solve_spd` solves it by conjugate gradients preconditioned with an
 aggregation-multigrid cycle (`multigrid`), built once per operator and
@@ -44,17 +47,6 @@ JACOBI_W = 0.9
 def widths(grid):
     """Cell widths in m per axis, shaped by np.ix_ to broadcast against the cells."""
     return np.ix_(*(grid.widths(a) * NM for a in range(3)))
-
-
-def _geometry(grid, axis):
-    """Face areas normal to `axis` and centre-to-face distances, in m.
-
-    Both broadcast against the cell arrays: the areas have length 1
-    along `axis`, the distances length 1 along the other two.
-    """
-    w = widths(grid)
-    a, b = (x for x in range(3) if x != axis)
-    return w[a] * w[b], w[axis] / 2
 
 
 def face_pairs(axis):
@@ -88,13 +80,22 @@ def interfaces(inner: np.ndarray, outer: np.ndarray) -> Iterator[tuple]:
             yield axis, side, flat[a][m], flat[b][m]
 
 
-def _half_conductance(grid, coeff, cells, axis, r_surface):
-    """Conductance from the centres of flat `cells` to their faces normal to
-    `axis`, with `r_surface` in series."""
-    area, half = _geometry(grid, axis)
-    area = np.broadcast_to(area, grid.dims).ravel()[cells]
-    half = np.broadcast_to(half, grid.dims).ravel()[cells]
-    return area / (half / coeff.ravel()[cells] + r_surface)
+def _box(active: np.ndarray) -> tuple[slice, ...]:
+    """Slices of the smallest box that holds every active cell."""
+    box = []
+    for axis in range(3):
+        hit = np.flatnonzero(active.any(axis=tuple(a for a in range(3) if a != axis)))
+        box.append(slice(hit.min(initial=0), hit.max(initial=-1) + 1))
+    return tuple(box)
+
+
+def _half_conductance(grid, coeff, idx, axis, r_surface):
+    """Conductance from the centres of the cells at `idx`, a tuple of index
+    arrays, to their faces normal to `axis`, with `r_surface` in series."""
+    w = [grid.widths(a) * NM for a in range(3)]
+    a, b = (x for x in range(3) if x != axis)
+    area = w[a][idx[a]] * w[b][idx[b]]
+    return area / (w[axis][idx[axis]] / 2 / coeff[idx] + r_surface)
 
 
 def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
@@ -107,42 +108,78 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
     j, and the diagonal of A holds every face conductance of its cell.
     Faces between active and inactive cells that `fixed` does not name
     carry no flux.
+
+    The unknowns follow the C order of the active cells, so each row of A
+    lists its columns in ascending order: the -x, -y and -z neighbours, the
+    cell, the +z, +y and +x neighbours. Each unknown gets these 7 slots,
+    gathered from per-axis face arrays over the bounding box of `active`,
+    and one keep-mask drops the slots of absent neighbours. The diagonal
+    adds each cell's faces in a fixed order: per axis the high face, then
+    the low one, then the fixed faces in the order given.
     """
     r_surface = np.asarray(r_surface, dtype=float)
-    n = int(active.sum())
-    dof = np.full(grid.dims, -1, dtype=np.int64)
-    dof[active] = np.arange(n)
+    box = _box(active)
+    act, c = active[box], coeff[box]
+    flat = np.flatnonzero(act)  # box-flat index of each unknown
+    n = flat.size
+    index = np.int32 if 7 * n <= np.iinfo(np.int32).max else np.int64
+    dof = np.full(act.shape, -1, dtype=index)
+    dof[act] = np.arange(n, dtype=index)
+    w = np.ix_(*(grid.widths(a)[s] * NM for a, s in enumerate(box)))
+    strides = (act.shape[1] * act.shape[2], act.shape[2], 1)
+    # row i's slot `axis` holds its low neighbour along `axis`, slot 3 the
+    # cell and slot 6 - axis its high neighbour
+    keep = np.empty((n, 7), dtype=bool)
+    vals = np.empty((n, 7))
+    cols = np.empty((n, 7), dtype=index)
+    keep[:, 3] = True
+    cols[:, 3] = np.arange(n, dtype=index)
     diag = np.zeros(n)
-    rows, cols, vals = [], [], []
     for axis in range(3):  # interior faces: A / (d_lo / c_lo + d_hi / c_hi)
-        area, half = _geometry(grid, axis)
-        r = half / coeff
+        a, b = (x for x in range(3) if x != axis)
+        r = w[axis] / 2 / c
         s_lo, s_hi = face_pairs(axis)
-        g = area / (r[s_lo] + r[s_hi])
-        lo, hi = dof[s_lo], dof[s_hi]
-        both = (lo >= 0) & (hi >= 0)
-        lo, hi, g = lo[both], hi[both], g[both]
-        rows += [lo, hi]
-        cols += [hi, lo]
-        vals += [-g, -g]
-        np.add.at(diag, lo, g)
-        np.add.at(diag, hi, g)
+        # each face between two active cells, stored at its low cell, so the
+        # high layer along `axis` holds none; one stride below a cell of the
+        # low layer lies in that high layer (wrapping below index 0), so an
+        # absent low neighbour reads no face. The column gathers read any
+        # dof there, which the keep-mask drops.
+        both = np.zeros(act.shape, dtype=bool)
+        np.logical_and(act[s_lo], act[s_hi], out=both[s_lo])
+        g = np.zeros(act.shape)
+        np.divide(w[a] * w[b], r[s_lo] + r[s_hi], out=g[s_lo], where=both[s_lo])
+        low = flat - strides[axis]
+        g_hi, g_lo = g.take(flat), g.take(low, mode="wrap")
+        diag += g_hi
+        diag += g_lo
+        np.negative(g_hi, out=vals[:, 6 - axis])
+        np.negative(g_lo, out=vals[:, axis])
+        keep[:, 6 - axis] = both.take(flat)
+        keep[:, axis] = both.take(low, mode="wrap")
+        cols[:, 6 - axis] = dof.take(flat + strides[axis], mode="wrap")
+        cols[:, axis] = dof.take(low, mode="wrap")
+    del flat, r, both, g, low, g_hi, g_lo  # not alive at the compression's peak
 
     b_rows, b_cols, b_vals = [], [], []
     for axis, cells, column in fixed:
-        g = _half_conductance(grid, coeff, cells, axis, r_surface[column])
-        d = dof.ravel()[cells]
+        idx = np.unravel_index(cells, grid.dims)
+        g = _half_conductance(grid, coeff, idx, axis, r_surface[column])
+        d = dof[tuple(i - s.start for i, s in zip(idx, box))]
         np.add.at(diag, d, g)
         b_rows.append(d)
         b_cols.append(np.broadcast_to(column, d.shape))
         b_vals.append(g)
 
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(diag)
-    a_mat = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+    vals[:, 3] = diag
+    # both compressed arrays are allocated before the staging is freed:
+    # after it, glibc would place them on its heap, whose freed memory stays
+    # with the process (6 MB more peak RSS on a 233k-cell thermal run)
+    data = vals[keep]
+    indices = cols[keep]
+    del vals, cols
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    a_mat = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     b_mat = sparse.coo_matrix(
         (np.concatenate(b_vals), (np.concatenate(b_rows), np.concatenate(b_cols))),
         shape=(n, r_surface.size)).tocsr()

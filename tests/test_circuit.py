@@ -413,10 +413,16 @@ def test_pwl_value_equals_numpy_interp_bitwise():
     ({"edge_ps": 15.0, "period_ps": 20.0}, "edge_ps"),
     ({"edge_ps": 1.0, "period_ps": 0.0}, "edge_ps"),
     ({"dt_fs": 0.0}, "dt_fs"), ({"dt_fs": -5.0}, "dt_fs"),
+    ({"dt_fs": 1000.5, "edge_ps": 1.0}, "dt_fs must not exceed the input edge of 1000 fs"),
+    ({"dt_fs": 50000.0, "edge_ps": 2.0}, "dt_fs must not exceed the input edge of 2000 fs"),
 ])
 def test_stimulus_rejects_non_increasing_pwl(kwargs, key):
     with pytest.raises(ConfigurationError, match=key):
         Stimulus(**kwargs)
+
+
+def test_stimulus_accepts_a_step_as_long_as_the_edge():
+    assert Stimulus(edge_ps=2.0, dt_fs=2000.0).dt == 2e-12
 
 
 def test_stimulus_accepts_edge_just_inside_the_phase():

@@ -824,6 +824,8 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[experiment] p.vsat0 must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 0"),
      "[experiment] dt_fs must be positive and finite, got 0.0"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 2000"),
+     "[experiment] dt_fs must not exceed the input edge of 1000 fs, got 2000.0"),
     (BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntop_h = 0"),
      "[thermal] top_h must be positive, got 0.0"),
     (BASE_CONFIG + "\n[she]\ndamping = 0\n", "[she] damping must lie in (0, 1], got 0.0"),
@@ -862,7 +864,8 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
     (BASE_CONFIG.replace("margin = 12nm", "margin = 12nm\nmol_standoff = inf"),
      "[beol] mol_standoff must be non-negative and finite, got inf"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
-        "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "top_h", "damping",
+        "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "dt_fs-above-edge",
+        "top_h", "damping",
         "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
         "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r", "eps_r-inf",
         "rho_e-inf",
