@@ -19,11 +19,11 @@ sorted, and its arrays scale with the active cells and their bounding
 box, not with the grid.
 
 `solve_spd` solves it by conjugate gradients preconditioned with an
-aggregation-multigrid cycle (`multigrid`), built once per operator and
-reused for each of its right-hand sides. The iteration count is not
-mesh-independent: each coarsening level that a refinement adds costs a
-few more iterations (on the sample cell, 24-26 per capacitance solve at
-3 nm with two coarsenings, 31-33 at 2 nm with three).
+aggregation-multigrid W-cycle (`multigrid`), built once per operator and
+reused for each of its right-hand sides. The W-cycle corrects twice from
+each coarser level, so a coarsening level that a refinement adds costs
+about one more iteration (on the sample cell, 20-22 per capacitance
+solve at 3 nm with two coarsenings, 21-22 at 2 nm with three).
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def boundary_flux(b_mat, u: np.ndarray, u_fixed: np.ndarray) -> np.ndarray:
 
 
 def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
-    """Aggregation-multigrid V(1,1) preconditioner for an `assemble` operator.
+    """Aggregation-multigrid W(1,1) preconditioner for an `assemble` operator.
 
     Each coarser level aggregates the active cells of the 2x2x2 blocks of
     the level below; the prolongation P is piecewise constant on the
@@ -207,7 +207,8 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
     exactly. Every level is a diagonally dominant M-matrix, so the
     spectrum of D^-1 A lies in (0, 2] and one damped-Jacobi sweep at
     weight `JACOBI_W` < 1 smooths it. The same sweep runs before and after
-    the coarse correction, so the cycle is symmetric and CG applies.
+    the coarse correction, so the cycle is symmetric and CG applies. Each
+    level whose coarser level is not the LU corrects twice (`_cycle`).
 
     Each level keeps A, w D^-1, the restriction P^T built for the Galerkin
     product and the aggregate of each unknown, which indexes the
@@ -237,9 +238,12 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
 
 
 def _cycle(levels, coarsest, b):
-    """One V(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest.
+    """One W(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest.
 
     Both smoothers are x + w D^-1 (b - A x), the pre-smoother from x = 0.
+    The coarse correction e solves A_c e = P^T r by one cycle on the level
+    below, then adds a second cycle on the residual P^T r - A_c e; two
+    steps of one symmetric iteration, so the cycle stays symmetric.
     Each step updates an array it has just allocated, never `b`, and the
     iterates are bit-identical to the plain expressions.
     """
@@ -249,7 +253,12 @@ def _cycle(levels, coarsest, b):
     x = wdinv * b
     r = a @ x
     np.subtract(b, r, out=r)
-    x += np.take(_cycle(coarser, coarsest, p_t @ r), agg)
+    rc = p_t @ r
+    e = _cycle(coarser, coarsest, rc)
+    if coarser:  # a second correction, unless the first was the exact LU solve
+        rc -= coarser[0][0] @ e
+        e += _cycle(coarser, coarsest, rc)
+    x += np.take(e, agg)
     r = a @ x
     np.subtract(b, r, out=r)
     r *= wdinv
@@ -261,8 +270,8 @@ def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,
               name: str = "linear solve") -> np.ndarray:
     """CG preconditioned by `precond` (a `multigrid`) to relative residual `tol`.
 
-    With the multigrid cycle each coarsening level adds only a few
-    iterations (the sample cell's solves take at most 38 at 2 nm), so the
+    With the multigrid W-cycle a coarsening level adds about one
+    iteration (the sample cell's solves take at most 25 at 2 nm), so the
     fixed limit `MAX_ITER` is a real stall signal: it raises
     ConvergenceError naming the solve and carrying its residual.
 

@@ -95,11 +95,15 @@ class TemperatureField:
     ambient: float
 
     @cached_property
-    def reprs(self) -> list[str]:
-        """`repr(float(v))` of each value in C order, formatted once for
-        every heatmap written from this field; `values` must not change
-        after the first heatmap."""
-        return _reprs(self.values)
+    def reprs(self) -> np.ndarray:
+        """`repr(float(v))` of each value as ASCII bytes, in an S25 array
+        shaped like `values` (no float's repr is longer than 24 characters).
+        It is formatted once for every heatmap written from this field, so
+        `values` must not change after the first heatmap."""
+        out = np.empty(self.values.shape, dtype="S25")
+        for slab, values in zip(out, self.values):  # one x slab of strings at a time
+            slab.reshape(-1)[:] = _reprs(values)
+        return out
 
 
 @dataclass
@@ -200,37 +204,40 @@ def _reprs(values: np.ndarray) -> list[str]:
     return list(map(repr, values.ravel().tolist()))
 
 
+def _centers(grid) -> list[list[bytes]]:
+    """The `_reprs` of the cell centres along each axis, as ASCII bytes."""
+    return [[r.encode() for r in _reprs(grid.centers(a))] for a in range(3)]
+
+
 # Both writers read the field's `reprs`, so each temperature is formatted
-# once however many heatmaps are written; that list, one string per cell,
-# lives as long as the field. The writers yield one slab of lines at a
-# time, so no heatmap sits in memory as one string.
+# once however many heatmaps are written; that S25 array lives as long as
+# the field. The writers yield one slab of lines at a time as bytes, so
+# neither a heatmap nor one Python string per cell sits in memory.
 
 def _heatmap_csv(fld, grid):
-    xs, ys, zs = (_reprs(grid.centers(a)) for a in range(3))
-    yz = [f"{y},{z}," for y in ys for z in zs]  # rows in C order: z varies fastest
-    t = fld.reprs
-    yield "x_nm,y_nm,z_nm,T_K\n"
-    for i, x in enumerate(xs):
-        slab = t[i * len(yz):(i + 1) * len(yz)]
-        yield f"{x}," + f"\n{x},".join(map(str.__add__, yz, slab)) + "\n"
+    xs, ys, zs = _centers(grid)
+    yz = [b"%s,%s," % (y, z) for y in ys for z in zs]  # rows in C order: z varies fastest
+    yield b"x_nm,y_nm,z_nm,T_K\n"
+    for x, slab in zip(xs, fld.reprs):
+        rows = map(bytes.__add__, yz, slab.ravel().tolist())
+        yield x + b"," + (b"\n" + x + b",").join(rows) + b"\n"
 
 
 def _heatmap_vtk(fld, grid):
     nx, ny, nz = grid.dims
-    xs, ys, zs = (_reprs(grid.centers(a)) for a in range(3))
+    xs, ys, zs = _centers(grid)
     yield ("# vtk DataFile Version 3.0\n"
            "temperature field\n"
            "ASCII\n"
            "DATASET STRUCTURED_GRID\n"
            f"DIMENSIONS {nx} {ny} {nz}\n"
-           f"POINTS {nx * ny * nz} double\n")
+           f"POINTS {nx * ny * nz} double\n").encode()
     # VTK point order: x varies fastest
     for z in zs:
-        yield "".join((s + "\n").join(xs) + s + "\n" for s in (f" {y} {z}" for y in ys))
+        yield b"".join((s + b"\n").join(xs) + s + b"\n" for s in (b" %s %s" % (y, z) for y in ys))
     yield (f"POINT_DATA {nx * ny * nz}\n"
            "SCALARS temperature double 1\n"
-           "LOOKUP_TABLE default\n")
+           "LOOKUP_TABLE default\n").encode()
     # the C-order strings through a transposed view: one z slab at a time
-    cells = np.array(fld.reprs, dtype=object).reshape(grid.dims).transpose()
-    for slab in cells:
-        yield "\n".join(slab.ravel().tolist()) + "\n"
+    for slab in fld.reprs.transpose():
+        yield b"\n".join(slab.ravel().tolist()) + b"\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -271,9 +272,10 @@ def test_multigrid_cycle_is_symmetric(run, monkeypatch):
 
 
 def plain_multigrid(a_mat, active):
-    """`fv.multigrid`'s V(1,1) cycle in its plain expressions: the smoother
+    """`fv.multigrid`'s W(1,1) cycle in its plain expressions: the smoother
     x + w D^-1 (b - A x) written out, restriction by np.bincount and
-    prolongation by fancy indexing."""
+    prolongation by fancy indexing. Above a level that is not the LU the
+    coarse correction runs twice, the second on the residual of the first."""
     levels, coords, dims = [], np.nonzero(active), active.shape
     while a_mat.shape[0] > fv.COARSEST:
         dims = tuple((d + 1) // 2 for d in dims)
@@ -296,7 +298,11 @@ def plain_multigrid(a_mat, active):
             return coarsest.solve(b)
         a, wdinv, agg, n_coarse = levels[level]
         x = smooth(a, wdinv, b, np.zeros_like(b))
-        x = x + cycle(level + 1, np.bincount(agg, b - a @ x, n_coarse))[agg]
+        rc = np.bincount(agg, b - a @ x, n_coarse)
+        e = cycle(level + 1, rc)
+        if level + 1 < len(levels):
+            e = e + cycle(level + 1, rc - levels[level + 1][0] @ e)
+        x = x + e[agg]
         return smooth(a, wdinv, b, x)
     return lambda b: cycle(0, b)
 
@@ -383,15 +389,36 @@ def test_last_capacitance_solve_starts_from_the_sum_rule(sample_cell, monkeypatc
     assert np.abs(warm.c - cold.c).max() <= 1e-9 * np.abs(cold.c).max()
 
 
-def test_sample_solves_stay_within_the_iteration_budget(sample_cell, monkeypatch):
-    """Each cold capacitance solve and each unit heat solve of the sample cell
-    converges in at most 40 CG iterations, far inside `MAX_ITER`."""
-    config, grid = sample_cell
-    counts = counting_cg(monkeypatch)
-    cold_starts(monkeypatch)
+def cold_sample_solves(config, grid):
+    """Every capacitance solve and both unit heat solves of the sample cell on
+    `grid`, after `counting_cg` and `cold_starts`: six CG calls."""
     extract_capacitance(grid, config.library, list(RAIL_NAMES))
     for tier in (0, 1):
         ThermalContext(grid, config.library, config.bc, f"tier{tier}.channel",
                        **config.heat).prepare()
+
+
+def test_sample_solves_stay_within_the_iteration_budget(sample_cell, monkeypatch):
+    """Each cold capacitance solve and each unit heat solve of the sample cell
+    converges in at most 40 CG iterations, far inside `MAX_ITER`."""
+    counts = counting_cg(monkeypatch)
+    cold_starts(monkeypatch)
+    cold_sample_solves(*sample_cell)
     assert len(counts) == 6
     assert max(counts) <= 40
+
+
+def test_iterations_stop_growing_with_the_mesh(sample_cell, monkeypatch):
+    """Refining the sample cell from 3 nm to 2 nm adds a coarsening level;
+    each solve then takes at most 3 more iterations (a V-cycle took 7 more
+    per capacitance solve and 9 more per heat solve)."""
+    config, grid = sample_cell
+    fine_config = dataclasses.replace(config, mesh_resolution=2.0)
+    fine_grid = cli.build_inverter_grid(fine_config, "2tier")[0]  # 52 x 33 x 108 cells
+    counts = counting_cg(monkeypatch)
+    cold_starts(monkeypatch)
+    cold_sample_solves(config, grid)
+    cold_sample_solves(fine_config, fine_grid)
+    assert len(counts) == 12
+    coarse, fine = counts[:6], counts[6:]
+    assert all(f - c <= 3 for f, c in zip(fine, coarse)), (coarse, fine)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +329,29 @@ def test_heatmap_writers_match_per_cell_formatter(tmp_path):
             path = tmp_path / f"map.{fmt}"
             export_heatmap(fld, grid, path, fmt)
             assert path.read_bytes() == reference(fld, grid).encode()
+
+
+def test_heatmap_export_peak_memory_is_within_two_formatted_fields(tmp_path):
+    """numpy reports its buffers to tracemalloc: formatting a field and
+    writing both heatmaps from it allocates at most twice the bytes of the
+    field's S25 strings at its peak (one Python string per cell peaked at
+    4.4 times)."""
+    dims = (60, 30, 40)
+    edges = [np.cumsum(np.r_[0.0, np.random.default_rng(a).uniform(0.5, 2.0, d)])
+             for a, d in enumerate(dims)]
+    grid = VoxelGrid(*edges, np.zeros(dims, dtype=int), np.full(dims, -1), ["silicon_bulk"], [])
+    values = 300.0 + np.random.default_rng(7).random(dims)
+    export_heatmap(TemperatureField(values, 300.0), grid, tmp_path / "warm.csv")  # imports first
+    fld = TemperatureField(values, 300.0)
+    tracemalloc.start()
+    try:
+        for fmt in ("csv", "vtk_legacy"):
+            export_heatmap(fld, grid, tmp_path / f"map.{fmt}", fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 25 * values.size
+    assert fld.reprs.dtype == "S25" and fld.reprs.shape == dims
 
 
 def test_source_validation(device_grid2):
