@@ -1,23 +1,25 @@
 """Transient simulation of R / C / source / transistor netlists.
 
 Modified nodal analysis with ground elimination and backward Euler time
-stepping. Ground is stamped as one more full row and column, which the
-linear solve leaves out (the indefinite admittance form), so no stamp
-branches on it; state vectors carry ground's zero volts last. Capacitors
-are stamped as companion conductances C/dt with a history current;
-transistors are linearized every Newton iteration into companion
-conductances, as in SPICE2 (Nagel, UCB ERL-M520, 1975), from the
-closed-form slopes the compact model returns with the current: one
-`drain_current` call per transistor, on node voltages read as Python
-floats, which the model's scalar `math` body takes fastest. The linear
-part G + C/dt and the history term are formed once per step, not per
-iteration. Node counts stay below about a hundred here, so each Newton
-step is a dense LAPACK solve.
+stepping, after SPICE2 (Nagel, UCB ERL-M520, 1975). Ground is stamped as
+one more full row and column, which the linear solve leaves out (the
+indefinite admittance form), so no stamp branches on it; state vectors
+carry ground's zero volts last. Steps are error-controlled, land on every
+source corner, and the accepted points are interpolated onto a fixed print
+step. Capacitors are stamped as companion conductances C/h with a history
+current; transistors are linearized every Newton iteration into companion
+conductances from the closed-form slopes the compact model returns with
+the current: one `drain_current` call per transistor, on node voltages
+read as Python floats, which the model's scalar `math` body takes fastest.
+The linear part G + C/h and the history term are formed once per step,
+not per iteration. Node counts stay below about a hundred here, so each
+Newton step is a dense LAPACK solve.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from .errors import (
 GROUND = "0"
 ABSTOL = 1e-6  # V, Newton update at which a step counts as converged
 NEWTON_MAX_ITER = 60
+LTE_TOL = 7e-6  # V, estimated local truncation error at which a step is accepted
 
 
 @dataclass(frozen=True)
@@ -233,47 +236,76 @@ class _Mna:
 
 
 def transient(netlist: Netlist, tstop: float, dt: float) -> dict[str, Waveform]:
-    """Backward Euler transient; deterministic for fixed inputs.
+    """Backward Euler transient printed on the grid k * dt; deterministic for
+    fixed inputs.
 
-    Steps that fail Newton are retried at halved dt down to dt/64, then
-    raise with the failing timestamp. Sample times include any refined
-    sub-steps that were taken.
+    The steps themselves are error-controlled (see `_steps`); each node's
+    accepted points are interpolated linearly onto the print grid, so the
+    waveforms hold round(tstop / dt) + 1 samples whatever steps were taken.
     """
     check_rules({"tstop": POSITIVE, "dt": POSITIVE}, {"tstop": tstop, "dt": dt})
     mna = _Mna(netlist)
-    x = mna.dc_operating_point()
-    times = [0.0]
-    states = [x]
-
-    t = 0.0
-    n_steps = int(round(tstop / dt))
-    for k in range(1, n_steps + 1):
-        t_next = k * dt
-        x, sub = _advance(mna, x, t, t_next, dt)
-        for ts, xs in sub:
-            times.append(ts)
-            states.append(xs)
-        t = t_next
-
+    n_print = int(round(tstop / dt))
+    times, states = _steps(mna, mna.dc_operating_point(), n_print * dt, dt)
+    t_arr = np.arange(n_print + 1) * dt
     arr = np.array(states)
-    t_arr = np.array(times)
     out = {GROUND: Waveform(t_arr, np.zeros(len(t_arr)))}
     for name, i in mna.node_index.items():
-        out[name] = Waveform(t_arr, arr[:, i])
+        out[name] = Waveform(t_arr, np.interp(t_arr, times, arr[:, i]))
     return out
 
 
-def _advance(mna, x, t0, t1, dt, depth=0):
-    sol = mna.newton(x, t1, t1 - t0)
-    if sol is not None:
-        return sol, [(t1, sol)]
-    if depth >= 6:
-        raise TransientFailureError(
-            f"Newton failed at t={t1:.3e} s even at dt/64", time=t1)
-    tm = 0.5 * (t0 + t1)
-    xa, sub_a = _advance(mna, x, t0, tm, dt, depth + 1)
-    xb, sub_b = _advance(mna, xa, tm, t1, dt, depth + 1)
-    return xb, sub_a + sub_b
+def _steps(mna, x, t_end, dt):
+    """Accepted times and states from the DC state x at 0 to t_end.
+
+    A step is accepted when its estimated local truncation error,
+    h / (h + h_prev) * max |x - x_pred| over the node voltages, with x_pred
+    extrapolated linearly from the last two accepted points, is at most
+    LTE_TOL, or when it is at most dt/64; the next step is at most twice
+    and at least 0.2 times the last. Steps land on every source corner and
+    on t_end, but one closer than dt/64 is stepped through. Past a corner
+    the predictor restarts at a step of at most dt. A step whose Newton
+    solve fails is halved, and one of at most dt/64 that fails raises with
+    its end time.
+    """
+    h_min = dt / 64
+    corners = sorted({c for ts, _ in mna.pwls for c in ts if 0.0 < c < t_end})
+    corners += [t_end, math.inf]
+    times, states = [0.0], [x]
+    t, h, back = 0.0, dt, None  # back: the step before and the state it started from
+    k = 0  # the first corner after t
+    while t < t_end:
+        m = k
+        while corners[m] - t < h_min:
+            m += 1
+        h = min(h, corners[m] - t)
+        t_next = corners[m] if h == corners[m] - t else t + h
+        sol = mna.newton(x, t_next, h)
+        if sol is None:
+            if h <= h_min:
+                raise TransientFailureError(
+                    f"Newton failed at t={t_next:.3e} s even at dt/64", time=t_next)
+            h *= 0.5
+            continue
+        grow = 2.0
+        if back is not None:
+            h_prev, x_prev = back
+            pred = x + (x - x_prev) * (h / h_prev)
+            lte = h / (h + h_prev) * abs(sol[:mna.nv] - pred[:mna.nv]).max()
+            if lte > 0:
+                grow = min(2.0, max(0.2, 0.9 * math.sqrt(LTE_TOL / lte)))
+            if lte > LTE_TOL and h > h_min:
+                h = max(h * grow, h_min)
+                continue
+        crossed = corners[k] <= t_next
+        back = None if crossed else (h, x)
+        t, x = t_next, sol
+        times.append(t)
+        states.append(x)
+        h = min(h * grow, dt) if crossed else h * grow
+        while corners[k] <= t:
+            k += 1
+    return times, states
 
 
 def _crossings(wave: Waveform, level: float):
@@ -467,8 +499,6 @@ def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float, parasitic_
 
 def waveforms_csv(waves: dict[str, Waveform]) -> str:
     names = sorted(n for n in waves if n != GROUND)
-    t = waves[names[0]].t
-    lines = ["t_s," + ",".join(names)]
-    for i in range(len(t)):
-        lines.append(f"{float(t[i])!r}," + ",".join(repr(float(waves[n].v[i])) for n in names))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([waves[names[0]].t] + [waves[n].v for n in names])
+    rows = (",".join(map(repr, row.tolist())) for row in table)
+    return "\n".join(["t_s," + ",".join(names), *rows]) + "\n"

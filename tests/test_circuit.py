@@ -319,7 +319,11 @@ def test_waveforms_csv_shape(devices):
     header = lines[0].split(",")
     assert header[0] == "t_s"
     assert "Input" in header and "Output" in header
-    assert len(lines) == len(res.waves_without["Input"].t) + 1
+    waves = res.waves_without
+    assert len(lines) == len(waves["Input"].t) + 1
+    for i in range(len(lines) - 1):  # each row is the repr of every sample
+        row = [waves["Input"].t[i]] + [waves[n].v[i] for n in header[1:]]
+        assert lines[i + 1] == ",".join(repr(float(v)) for v in row)
 
 
 def test_spliced_netlist_separates_device_nodes(devices):
@@ -465,16 +469,23 @@ def test_failed_dc_solve_raises_at_time_zero(devices, monkeypatch):
 
 
 def test_transient_step_failure_names_the_smallest_step(devices, monkeypatch):
+    """A step whose Newton solve fails is halved from the size the controller
+    tried until it is at most dt/64, and that one raises at its end time."""
     pn, pp = devices
     stim = Stimulus()
     dt = stim.dt
-    t_fail = 3 * dt  # the step ending at 4 dt fails at every step size
-    calls = failing_newton(monkeypatch, lambda t, step: step is not None and t > t_fail)
+    t_fail = 3.5 * dt  # every step that starts later fails at every size
+    calls = failing_newton(monkeypatch, lambda t, step: step is not None and t - step > t_fail)
     with pytest.raises(TransientFailureError, match="dt/64") as err:
         transient(build_inverter_netlist(pn, pp, VDD, 1e-16, stim), stim.tstop, dt)
-    assert err.value.time == pytest.approx(t_fail + dt / 64, rel=1e-12)
-    failed = [step for t, step in calls if step is not None and t > t_fail]
-    assert failed == pytest.approx([dt / 2**k for k in range(7)], rel=1e-9)
+    failed = [(t, step) for t, step in calls if step is not None and t - step > t_fail]
+    assert calls[-len(failed):] == failed  # no solve between the halvings
+    start = failed[0][0] - failed[0][1]
+    sizes = [step for _, step in failed]
+    assert [t - step for t, step in failed] == pytest.approx([start] * len(sizes), rel=1e-12)
+    assert sizes == pytest.approx([sizes[0] / 2**k for k in range(len(sizes))], rel=1e-12)
+    assert sizes[-1] <= dt / 64 < sizes[-2]
+    assert err.value.time == failed[-1][0] == pytest.approx(start + sizes[-1], rel=1e-12)
 
 
 def test_cli_delay_transient_failure_exits_three(tmp_path, monkeypatch, capsys):
@@ -484,3 +495,58 @@ def test_cli_delay_transient_failure_exits_three(tmp_path, monkeypatch, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error:") and "dt/64" in err
+
+
+def test_a_corner_closer_than_dt_over_64_is_stepped_through():
+    """The step source's corner at 1e-18 s is stepped through: landing on it
+    needs a 1e-18 s step, at which Newton cannot move the source current."""
+    nl = Netlist([VSource("Vs", "in", "0", ((0.0, 0.0), (1e-18, 1.0))),
+                  Resistor("R1", "in", "out", 1e3), Capacitor("C1", "out", "0", 1e-15)])
+    mna = _Mna(nl)
+    times, _ = circuit._steps(mna, mna.dc_operating_point(), 1e-12, 1e-14)
+    assert 1e-18 not in times and times[1] == 1e-14
+    waves = transient(nl, 1e-12, 1e-14)
+    assert waves["in"].v[1:].min() == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 < waves["out"].v[-1] < 1.0
+
+
+def test_every_source_corner_is_an_accepted_step(devices):
+    pn, pp = devices
+    stim = Stimulus()
+    mna = _Mna(build_inverter_netlist(pn, pp, VDD, 1e-16, stim))
+    times, _ = circuit._steps(mna, mna.dc_operating_point(), stim.tstop, stim.dt)
+    corners = [t for t, _ in stim.pwl(VDD)][1:]
+    assert set(corners) <= set(times)
+    assert len(times) < stim.tstop / stim.dt / 2  # the controller takes longer steps
+
+
+def test_delay_is_within_1e_3_of_a_fixed_1fs_step(devices):
+    pn, pp = devices
+    stim = Stimulus()
+    nl = build_inverter_netlist(pn, pp, VDD, 1e-16, stim)
+    mna, dt = _Mna(nl), 1e-15
+    n = round(stim.tstop / dt)
+    states = [mna.dc_operating_point()]
+    for k in range(1, n + 1):
+        states.append(mna.newton(states[-1], k * dt, dt))
+    t, arr = np.arange(n + 1) * dt, np.array(states)
+    vin, vout = (Waveform(t, arr[:, mna.node_index[name]]) for name in ("Input", "Output"))
+    reference = propagation_delay(vin, vout, VDD)
+    waves = transient(nl, stim.tstop, stim.dt)
+    got = propagation_delay(waves["Input"], waves["Output"], VDD)
+    assert got == pytest.approx(reference, rel=1e-3)
+
+
+def test_sample_delay_evaluates_the_model_fewer_than_10000_times(tmp_path, monkeypatch):
+    calls = []
+    model = circuit.drain_current
+
+    def counted(*args):
+        calls.append(None)
+        return model(*args)
+
+    monkeypatch.setattr(circuit, "drain_current", counted)
+    rc = cli.main(["delay", str(SAMPLE_CONFIG), "--design", "2tier", "--parasitics", "on",
+                   "--she", "on", "--out", str(tmp_path / "delay")])
+    assert rc == 0
+    assert 0 < len(calls) < 10_000
