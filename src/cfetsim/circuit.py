@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -497,8 +498,16 @@ def electro_thermal_delay(nparams, pparams, ctx_n, ctx_p, vdd: float, parasitic_
     return SheDelayResult(res, {"n": op_n.delta_t, "p": op_p.delta_t})
 
 
-def waveforms_csv(waves: dict[str, Waveform]) -> str:
+WAVEFORM_CHUNK_ROWS = 1000
+
+
+def waveforms_csv(waves: dict[str, Waveform]) -> Iterator[str]:
+    """The waveforms as CSV text (the time, then each node by name), yielded
+    WAVEFORM_CHUNK_ROWS rows at a time for `atomic_write` to stream."""
     names = sorted(n for n in waves if n != GROUND)
+    yield "t_s," + ",".join(names) + "\n"
     table = np.column_stack([waves[names[0]].t] + [waves[n].v for n in names])
-    rows = (",".join(map(repr, row.tolist())) for row in table)
-    return "\n".join(["t_s," + ",".join(names), *rows]) + "\n"
+    for start in range(0, len(table), WAVEFORM_CHUNK_ROWS):
+        # one row of floats at a time: a whole chunk's `tolist` raises the peak RSS
+        rows = table[start:start + WAVEFORM_CHUNK_ROWS]
+        yield "".join(",".join(map(repr, row.tolist())) + "\n" for row in rows)

@@ -314,7 +314,7 @@ def test_waveforms_csv_shape(devices):
     pn, pp = devices
     res = inverter_experiment(pn, pp, VDD, None, load_c=1e-16,
                               stimulus=Stimulus(dt_fs=20.0))
-    text = waveforms_csv(res.waves_without)
+    text = "".join(waveforms_csv(res.waves_without))  # the chunks atomic_write streams
     lines = text.strip().splitlines()
     header = lines[0].split(",")
     assert header[0] == "t_s"

@@ -22,6 +22,7 @@ from cfetsim.thermal import (
     drain_hotspot_source,
     energy_balance,
     export_heatmap,
+    format_reprs,
     solve_steady,
 )
 
@@ -320,6 +321,7 @@ def test_heatmap_writers_match_per_cell_formatter(tmp_path):
     dims = tuple(len(e) - 1 for e in edges)
     grid = VoxelGrid(*edges, np.zeros(dims, dtype=int), np.full(dims, -1), ["silicon_bulk"], [])
     values = 300.0 + rng.random(dims) * rng.choice([0.0, 1e-9, 1e-3, 1.0, 1e4], dims)
+    values.reshape(-1)[:3 * len(FALLBACK_VALUES):3] = FALLBACK_VALUES  # the per-value repr path
     writers = (("csv", _per_cell_csv), ("vtk_legacy", _per_cell_vtk))
     # both formats from one field, in either order: the second writer reads
     # the strings the first one formatted
@@ -329,6 +331,31 @@ def test_heatmap_writers_match_per_cell_formatter(tmp_path):
             path = tmp_path / f"map.{fmt}"
             export_heatmap(fld, grid, path, fmt)
             assert path.read_bytes() == reference(fld, grid).encode()
+
+
+# one of each kind of value the integer kernel leaves to repr (below 1, zero,
+# negative, subnormal, 2**53 and above, non-finite, and an exact tie between
+# the two shortest decimals, 2**50 + 0.25), and powers of two, whose rounding
+# interval is narrower below them
+FALLBACK_VALUES = [0.5, -3.0, 0.0, -0.0, 5e-324, 2.0**-3, 2.0**53, 2.0**53 + 2.0, 1e300,
+                   math.inf, -math.inf, math.nan, -312.25, 0.1, 2.0**50 + 0.25,
+                   1.0, 2.0, 512.0, 2.0**52]
+
+
+def test_format_reprs_is_repr_on_a_million_values():
+    rng = np.random.default_rng(24)
+    blocks = [np.exp(rng.random(500_000) * math.log(2.0**53)),  # log-uniform over [1, 2**53)
+              np.array(FALLBACK_VALUES + [2.0**k for k in range(-8, 64)])]
+    for places in range(17):  # short decimals, where the fewest digits read back
+        blocks.append(np.round(300.0 + 600.0 * rng.random(20_000), places))
+    short = np.round(1.0 + 1000.0 * rng.random(80_000), 3)
+    blocks += [np.nextafter(short, 0.0), np.nextafter(short, np.inf)]  # their neighbours
+    values = np.concatenate(blocks)
+    assert values.size >= 1_000_000
+    got = format_reprs(values)
+    assert got.dtype == "S25" and got.shape == values.shape
+    mismatches = [(v, g) for v, g in zip(values.tolist(), got.tolist()) if g != repr(v).encode()]
+    assert mismatches == []
 
 
 def test_heatmap_export_peak_memory_is_within_two_formatted_fields(tmp_path):
