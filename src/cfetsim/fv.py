@@ -19,11 +19,12 @@ sorted, and its arrays scale with the active cells and their bounding
 box, not with the grid.
 
 `solve_spd` solves it by conjugate gradients preconditioned with an
-aggregation-multigrid W-cycle (`multigrid`), built once per operator and
-reused for each of its right-hand sides. The W-cycle corrects twice from
-each coarser level, so a coarsening level that a refinement adds costs
-about one more iteration (on the sample cell, 20-22 per capacitance
-solve at 3 nm with two coarsenings, 21-22 at 2 nm with three).
+aggregation-multigrid AMLI cycle (`multigrid`), built once per operator
+and reused for each of its right-hand sides. The cycle corrects twice
+from each coarser level and weights the two corrections by a degree-2
+Chebyshev polynomial, so a refinement that adds a coarsening level costs
+no iterations (on the sample cell, 20-21 per cold capacitance solve at
+3 nm with two coarsenings, 18-19 at 2 nm with three).
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ COARSEST = 3000  # unknowns at or below which the multigrid solves directly
 # damped-Jacobi weight: D^-1 A lies in (0, 2], so any weight below 1 damps
 # every mode; 0.8-0.94 give the same iteration counts, 1.0 stalls
 JACOBI_W = 0.9
+# lower end of the interval [lambda, 1] on which the AMLI weights are the
+# degree-2 Chebyshev polynomial; 1 gives the plain W-cycle. The cycle's
+# spectrum stays in (0, 1 + delta] with delta = (1 - lambda)^2 / D, so it is
+# SPD at every depth while delta < lambda, i.e. lambda > 0.236; counts are
+# flat over 0.2-0.5 and at 0.1 the solves stop converging
+AMLI_LAMBDA = 0.3
+_AMLI_D = AMLI_LAMBDA ** 2 + 6 * AMLI_LAMBDA + 1
+AMLI_E1, AMLI_E2 = 8 * AMLI_LAMBDA / _AMLI_D, 8 / _AMLI_D  # weights of e1 and e2
 
 
 def widths(grid):
@@ -198,17 +207,19 @@ def boundary_flux(b_mat, u: np.ndarray, u_fixed: np.ndarray) -> np.ndarray:
 
 
 def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
-    """Aggregation-multigrid W(1,1) preconditioner for an `assemble` operator.
+    """Aggregation-multigrid AMLI(1,1) preconditioner for an `assemble` operator.
 
     Each coarser level aggregates the active cells of the 2x2x2 blocks of
     the level below; the prolongation P is piecewise constant on the
     aggregates and the coarse operator the Galerkin product P^T A P.
     Coarsening stops at `COARSEST` unknowns, which a sparse LU solves
-    exactly. Every level is a diagonally dominant M-matrix, so the
-    spectrum of D^-1 A lies in (0, 2] and one damped-Jacobi sweep at
-    weight `JACOBI_W` < 1 smooths it. The same sweep runs before and after
-    the coarse correction, so the cycle is symmetric and CG applies. Each
-    level whose coarser level is not the LU corrects twice (`_cycle`).
+    exactly. Every level is a diagonally dominant SPD M-matrix, so the LU
+    orders A + A^T and keeps the diagonal pivots, and the spectrum of
+    D^-1 A lies in (0, 2], so one damped-Jacobi sweep at weight
+    `JACOBI_W` < 1 smooths it. The same sweep runs before and after the
+    coarse correction, so the cycle is symmetric and CG applies. Each
+    level whose coarser level is not the LU corrects twice, with the AMLI
+    weights (`_cycle`).
 
     Each level keeps A, w D^-1, the restriction P^T built for the Galerkin
     product and the aggregate of each unknown, which indexes the
@@ -219,11 +230,16 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
     levels = []  # finest first
     while a_mat.shape[0] > COARSEST:
         dims = tuple((d + 1) // 2 for d in dims)
-        blocks, agg = np.unique(
-            np.ravel_multi_index(tuple(c // 2 for c in coords), dims), return_inverse=True)
+        # the occupied blocks in ascending order and the rank of each
+        # unknown's block among them, without sorting the unknowns
+        key = np.ravel_multi_index(tuple(c // 2 for c in coords), dims)
+        hit = np.zeros(np.prod(dims), dtype=bool)
+        hit[key] = True
+        blocks = np.flatnonzero(hit)
+        # in the index dtype of A: the column indices of A P below
+        agg = (np.cumsum(hit, dtype=a_mat.indices.dtype) - 1)[key]
         coords = np.unravel_index(blocks, dims)
         n, n_coarse = a_mat.shape[0], blocks.size
-        agg = agg.astype(a_mat.indices.dtype)  # the column indices of A P below
         # each row of P^T lists its unknowns in ascending order, so P^T r
         # adds the same terms in the same order as np.bincount(agg, r)
         p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
@@ -231,19 +247,24 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
         # P^T (A P) with A P sharing the values and row pointers of A
         a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
                                         shape=(n, n_coarse))
-    coarsest = spla.splu(a_mat.tocsc())
+    coarsest = spla.splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
     # the lambda holds the hierarchy without a reference cycle, so the
     # hierarchy is freed with its last user, not at the next garbage collection
     return spla.LinearOperator(shape, matvec=lambda b: _cycle(levels, coarsest, b), dtype=float)
 
 
 def _cycle(levels, coarsest, b):
-    """One W(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest.
+    """One AMLI(1,1) cycle for A x = b from x = 0; `levels[0]` is the finest.
 
     Both smoothers are x + w D^-1 (b - A x), the pre-smoother from x = 0.
-    The coarse correction e solves A_c e = P^T r by one cycle on the level
-    below, then adds a second cycle on the residual P^T r - A_c e; two
-    steps of one symmetric iteration, so the cycle stays symmetric.
+    The coarse correction solves A_c e = P^T r: e1 is one cycle on the
+    level below and e2 one cycle on the residual P^T r - A_c e1, and
+    e = E1 e1 + E2 e2 with the degree-2 Chebyshev weights on
+    [`AMLI_LAMBDA`, 1] (Axelsson and Vassilevski, SIAM J. Numer. Anal. 27,
+    1990). The cycle applies a fixed polynomial in a symmetric operator,
+    so it stays linear and symmetric and plain CG applies; E2 scales the
+    residual before the second cycle, so e2 is never held beside e.
     Each step updates an array it has just allocated, never `b`, and the
     iterates are bit-identical to the plain expressions.
     """
@@ -257,6 +278,8 @@ def _cycle(levels, coarsest, b):
     e = _cycle(coarser, coarsest, rc)
     if coarser:  # a second correction, unless the first was the exact LU solve
         rc -= coarser[0][0] @ e
+        rc *= AMLI_E2
+        e *= AMLI_E1
         e += _cycle(coarser, coarsest, rc)
     x += np.take(e, agg)
     r = a @ x
@@ -270,9 +293,9 @@ def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,
               name: str = "linear solve") -> np.ndarray:
     """CG preconditioned by `precond` (a `multigrid`) to relative residual `tol`.
 
-    With the multigrid W-cycle a coarsening level adds about one
-    iteration (the sample cell's solves take at most 25 at 2 nm), so the
-    fixed limit `MAX_ITER` is a real stall signal: it raises
+    With the multigrid AMLI cycle a coarsening level adds no iterations
+    (the sample cell's cold solves take at most 19 at 2 nm and 21 at
+    1.5 nm), so the fixed limit `MAX_ITER` is a real stall signal: it raises
     ConvergenceError naming the solve and carrying its residual.
 
     cg stops on its recursively updated residual, which keeps falling

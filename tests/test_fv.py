@@ -272,10 +272,11 @@ def test_multigrid_cycle_is_symmetric(run, monkeypatch):
 
 
 def plain_multigrid(a_mat, active):
-    """`fv.multigrid`'s W(1,1) cycle in its plain expressions: the smoother
-    x + w D^-1 (b - A x) written out, restriction by np.bincount and
-    prolongation by fancy indexing. Above a level that is not the LU the
-    coarse correction runs twice, the second on the residual of the first."""
+    """`fv.multigrid`'s AMLI(1,1) cycle in its plain expressions: aggregates
+    by np.unique, the smoother x + w D^-1 (b - A x) written out, restriction
+    by np.bincount and prolongation by fancy indexing. Above a level that is
+    not the LU the coarse correction runs twice, the second on the residual
+    of the first, and the two are summed with the weights E1 and E2."""
     levels, coords, dims = [], np.nonzero(active), active.shape
     while a_mat.shape[0] > fv.COARSEST:
         dims = tuple((d + 1) // 2 for d in dims)
@@ -288,7 +289,8 @@ def plain_multigrid(a_mat, active):
         p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
         a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
                                         shape=(n, n_coarse))
-    coarsest = spla.splu(a_mat.tocsc())
+    coarsest = spla.splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
 
     def smooth(a, wdinv, b, x):
         return x + wdinv * (b - a @ x)
@@ -301,7 +303,8 @@ def plain_multigrid(a_mat, active):
         rc = np.bincount(agg, b - a @ x, n_coarse)
         e = cycle(level + 1, rc)
         if level + 1 < len(levels):
-            e = e + cycle(level + 1, rc - levels[level + 1][0] @ e)
+            e2 = cycle(level + 1, fv.AMLI_E2 * (rc - levels[level + 1][0] @ e))
+            e = fv.AMLI_E1 * e + e2
         x = x + e[agg]
         return smooth(a, wdinv, b, x)
     return lambda b: cycle(0, b)
@@ -324,6 +327,49 @@ def test_multigrid_cycle_equals_its_plain_expressions_bitwise(run, monkeypatch):
         given = b.copy()
         assert np.array_equal(precond @ b, plain(b))
         assert np.array_equal(b, given)  # the cycle leaves its input alone
+
+
+def amli_weights(lam):
+    """(E1, E2, delta) of the degree-2 Chebyshev weights on [lam, 1]."""
+    d = lam ** 2 + 6 * lam + 1
+    return 8 * lam / d, 8 / d, (1 - lam) ** 2 / d
+
+
+def test_amli_constants_keep_every_level_spd():
+    """The cycle's spectrum stays in (0, 1 + delta]; the next level's
+    weights keep it positive only on (0, 1 + lambda), so delta < lambda."""
+    e1, e2, delta = amli_weights(fv.AMLI_LAMBDA)
+    assert (fv.AMLI_E1, fv.AMLI_E2) == pytest.approx((e1, e2), rel=1e-15)
+    assert delta < fv.AMLI_LAMBDA
+    assert amli_weights(1.0)[:2] == (1.0, 1.0)  # lambda = 1 is the W-cycle
+
+
+def a_power_iteration(a_mat, op, iters=100, seed=13):
+    """Rayleigh quotient of `op` in the A inner product after `iters` steps."""
+    v = np.random.default_rng(seed).standard_normal(a_mat.shape[0])
+    for _ in range(iters):
+        av = a_mat @ v
+        w = op(v)
+        mu = (w @ av) / (v @ av)
+        v = w / np.sqrt(w @ (a_mat @ w))
+    return mu
+
+
+@pytest.mark.parametrize("lam", [fv.AMLI_LAMBDA, 0.1])
+def test_amli_cycle_spectrum_lies_in_its_bound(lam, monkeypatch):
+    """Power iterations in the A inner product find the spectrum of M A
+    inside (0, 1 + delta] when delta < lambda, and outside it at
+    lambda = 0.1. With `COARSEST` at 100 the 0.45 nm grid has three levels
+    above the LU, so two of them weight their corrections."""
+    e1, e2, delta = amli_weights(lam)
+    monkeypatch.setattr(fv, "AMLI_E1", e1)
+    monkeypatch.setattr(fv, "AMLI_E2", e2)
+    monkeypatch.setattr(fv, "COARSEST", 100)
+    a_mat, precond = one_multigrid(run_thermal, monkeypatch, 0.45)
+    top = a_power_iteration(a_mat, lambda v: precond @ (a_mat @ v))
+    shift = 1 + delta  # (1 + delta) I - M A finds the low end
+    low = shift - a_power_iteration(a_mat, lambda v: shift * v - precond @ (a_mat @ v))
+    assert (0 < low and top <= 1 + delta) == (delta < lam), (low, top, delta)
 
 
 def test_small_system_preconditioner_is_the_direct_solve(monkeypatch):
@@ -422,3 +468,19 @@ def test_iterations_stop_growing_with_the_mesh(sample_cell, monkeypatch):
     assert len(counts) == 12
     coarse, fine = counts[:6], counts[6:]
     assert all(f - c <= 3 for f, c in zip(fine, coarse)), (coarse, fine)
+
+
+def test_refining_to_2nm_costs_no_iterations(sample_cell, monkeypatch):
+    """With the AMLI weights each cold 2 nm solve of the sample cell takes
+    no more iterations than its 3 nm counterpart (the W-cycle took up to
+    one more)."""
+    config, grid = sample_cell
+    fine_config = dataclasses.replace(config, mesh_resolution=2.0)
+    fine_grid = cli.build_inverter_grid(fine_config, "2tier")[0]
+    counts = counting_cg(monkeypatch)
+    cold_starts(monkeypatch)
+    cold_sample_solves(config, grid)
+    cold_sample_solves(fine_config, fine_grid)
+    assert len(counts) == 12
+    coarse, fine = counts[:6], counts[6:]
+    assert all(f <= c for f, c in zip(fine, coarse)), (coarse, fine)
