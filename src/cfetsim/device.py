@@ -337,7 +337,7 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactMod
         res = calibration_residuals(p, targets)
         if all(abs(r) < 1e-5 for r in res.values()):
             break
-    bad = [k for k, r in calibration_residuals(p, targets).items() if abs(r) > 1e-2]
+    bad = [k for k, r in res.items() if abs(r) > 1e-2]  # res is of the final p
     if bad:
         raise CalibrationError(
             f"stage {bad[0]}: target unreachable within parameter bounds "

@@ -33,7 +33,7 @@ from .errors import (
     GeometryError,
     RegionNotFoundError,
 )
-from .geometry import VoxelGrid, face_components, locate_conductors
+from .geometry import VoxelGrid, locate_conductors
 from .materials import Material, per_cell
 
 EPS0 = 8.8541878128e-12  # F/m
@@ -102,17 +102,16 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     if len(conductors) < 2:
         raise GeometryError("need at least two conductors")
     located = locate_conductors(grid)
-    for name in conductors:
+    for i, name in enumerate(conductors):
         if name not in located:
             raise RegionNotFoundError(f"conductor {name!r} not on grid")
+        if name in conductors[:i]:
+            raise GeometryError(f"conductor {name!r} is listed twice")
 
     nrhs = len(conductors)
     cond_id = np.full(grid.n_cells, -1, dtype=np.int32)
     for ci, name in enumerate(conductors):
-        cells = located[name]
-        if (cond_id[cells] >= 0).any():
-            raise GeometryError(f"conductor {name!r} overlaps another conductor")
-        cond_id[cells] = ci
+        cond_id[located[name]] = ci
     cond_id = cond_id.reshape(grid.dims)
     domain = cond_id < 0
     # F/m; the cells of the extracted conductors are excluded from the domain
@@ -174,7 +173,7 @@ def inverter_terminals(grid: VoxelGrid, wired: tuple[int, int]) -> dict[str, Ter
     """Port and device-end terminals for the four rails of a wired pair."""
     p_tier, n_tier = wired
     tiers = [p_tier, n_tier]
-    terms = {
+    return {
         "Input": boundary_port_faces(grid, "Input"),
         "Gate": contact_faces(grid, "Input", [f"tier{i}.gate" for i in tiers]),
         "Output": boundary_port_faces(grid, "Output"),
@@ -184,10 +183,6 @@ def inverter_terminals(grid: VoxelGrid, wired: tuple[int, int]) -> dict[str, Ter
         "Ground": boundary_port_faces(grid, "Ground"),
         "NSource": contact_faces(grid, "Ground", [f"tier{n_tier}.source"]),
     }
-    for name, faces in terms.items():
-        if not faces:
-            raise ConnectivityError(f"terminal {name!r} has no contact faces")
-    return terms
 
 
 DEFAULT_PAIRS = (("Ground", "NSource"), ("PSource", "Power"),
@@ -197,8 +192,19 @@ DEFAULT_PAIRS = (("Ground", "NSource"), ("PSource", "Power"),
 def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
                        pairs=DEFAULT_PAIRS, *,
                        terminals: dict[str, Terminal]) -> ResistanceReport:
-    """Terminal-pair resistances solved inside each conductor volume."""
+    """Terminal-pair resistances solved inside each conductor volume.
+
+    Each pair's terminals must lie on one label, every cell of which is
+    metal; that label's cells are the solve's domain.
+    """
+    locate_conductors(grid)  # every label is one face-connected piece
+    # Ohm m on metal, 0 elsewhere; sigma is 1 off the metal so that the
+    # faces outside the solve's domain stay finite
+    rho = per_cell(grid, materials, lambda m: m.rho_e if m.role == "conductor" else 0.0)
+    metal = rho > 0
+    sigma = np.divide(1.0, rho, out=np.ones_like(rho), where=metal)
     label_flat = grid.label.ravel()
+    v_fixed = np.array([1.0, 0.0])
     entries = []
     for a, b in pairs:
         for t in (a, b):
@@ -206,47 +212,27 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
                 raise ConnectivityError(f"unknown terminal {t!r}")
             if not terminals[t]:
                 raise ConnectivityError(f"terminal {t!r} has no faces")
-        labels = np.unique(label_flat[_cells(terminals[a] + terminals[b])])
+        fixed = [(axis, cells, column) for column, t in enumerate((a, b))
+                 for axis, _, cells in terminals[t]]
+        labels = np.unique(label_flat[np.concatenate([cells for _, cells, _ in fixed])])
         if labels.size != 1:
             raise ConnectivityError(f"terminals {a}/{b} span different conductors")
         code = int(labels[0])
         if code < 0:
             raise ConnectivityError(f"terminals {a}/{b} lie on no labelled conductor")
-        r, mism = _conduction_solve(grid, materials, grid.label_names[code],
-                                    terminals[a], terminals[b])
-        entries.append(ResistanceEntry(a, b, r, mism))
+        mask = grid.label == code
+        if not metal[mask].all():
+            raise ConnectivityError(
+                f"conductor {grid.label_names[code]!r} has non-metal cells")
+        mat, coupling = fv.assemble(grid, sigma, mask, fixed, np.zeros(2))
+        phi = spla.spsolve(mat, coupling @ v_fixed)
+        currents = fv.boundary_flux(coupling, phi, v_fixed)
+        i_a, i_b = currents[0], -currents[1]
+        i_mean = 0.5 * (i_a + i_b)
+        if not i_mean > 0:
+            raise ConnectivityError("no current flows between the terminals")
+        entries.append(ResistanceEntry(a, b, 1.0 / i_mean, abs(i_a - i_b) / i_mean))
     return ResistanceReport(entries)
-
-
-def _cells(terminal: Terminal) -> np.ndarray:
-    return np.concatenate([cells for _, _, cells in terminal])
-
-
-def _conduction_solve(grid, materials, label_name, term_a, term_b):
-    mask = grid.cells_of_label(label_name)
-    rho = per_cell(grid, materials, lambda m: m.rho_e if m.role == "conductor" else np.inf)
-    if not np.isfinite(rho[mask]).all():
-        raise ConnectivityError(f"conductor {label_name!r} has non-metal cells")
-
-    parts = face_components(np.where(mask, 0, -1)).ravel()
-    part_a = np.unique(parts[_cells(term_a)])
-    part_b = np.unique(parts[_cells(term_b)])
-    if part_a.size != 1 or not np.array_equal(part_a, part_b) or part_a[0] < 0:
-        raise ConnectivityError(
-            f"terminals on {label_name!r} are not on one connected component")
-
-    sigma = np.where(mask, 1.0 / rho, 1.0)  # 1 keeps faces off the conductor finite
-    fixed = [(axis, cells, column) for column, term in enumerate((term_a, term_b))
-             for axis, _, cells in term]
-    mat, coupling = fv.assemble(grid, sigma, mask, fixed, np.zeros(2))
-    v_fixed = np.array([1.0, 0.0])
-    phi = spla.spsolve(mat, coupling @ v_fixed)
-    currents = fv.boundary_flux(coupling, phi, v_fixed)
-    i_a, i_b = currents[0], -currents[1]
-    i_mean = 0.5 * (i_a + i_b)
-    if not i_mean > 0:
-        raise ConnectivityError("no current flows between the terminals")
-    return 1.0 / i_mean, abs(i_a - i_b) / i_mean
 
 
 def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,

@@ -973,6 +973,43 @@ def test_cmd_extract_bad_bpr_depth_names_the_key(tmp_path, capsys, beol, message
     assert message in capsys.readouterr().err
 
 
+SAMPLE_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "sample_2tier.ini")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("spacer_thickness = 5nm", "spacer_thickness = 5nm\nsd_extension = 6nm",
+     "rail Output routing blocked by spacer_dielectric"),
+    ("via_cross_section = 36", "via_cross_section = 900", "rails Input and Output overlap"),
+])
+def test_cmd_extract_rejects_blocked_routing_before_meshing(tmp_path, monkeypatch, capsys,
+                                                            old, new, message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed a cell whose routing is blocked")
+    monkeypatch.setattr(cli.geometry, "voxelize", no_mesh)
+    with open(SAMPLE_CONFIG) as f:
+        text = f.read()
+    assert old in text
+    path = write_config(tmp_path, text.replace(old, new))
+    rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cmd_extract_empty_terminal_exits_two(tmp_path, monkeypatch, capsys):
+    """Terminals taken with the p and n tiers swapped: the ground rail
+    touches no source of the tier named as n."""
+    real = cli.build_inverter_grid
+
+    def swapped(config, design):
+        grid, stack, (p_tier, n_tier), regions = real(config, design)
+        return grid, stack, (n_tier, p_tier), regions
+    monkeypatch.setattr(cli, "build_inverter_grid", swapped)
+    path = write_config(tmp_path)
+    rc = cli.main(["extract", path, "--design", "2tier", "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: terminal 'NSource' has no faces\n"
+
+
 @pytest.mark.parametrize("text, message", [
     (BASE_CONFIG.replace("gate_length = 15nm", "gate_length = abc"),
      "[device] gate_length: cannot parse 'abc' as a nm value"),

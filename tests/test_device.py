@@ -301,6 +301,29 @@ def test_calibration_unreachable_names_stage():
     assert err.value.stage == "ion"
 
 
+@pytest.mark.parametrize("ion", [None, 10.0], ids=["reached", "unreachable"])
+def test_calibration_checks_each_sweep_once(monkeypatch, ion):
+    """The residuals of the last sweep decide the outcome; they are not
+    computed again after the loop, on either exit."""
+    targets = extract_targets(CompactModelParams(vth0=0.33, n_ss=1.3), VDD)
+    if ion is not None:
+        targets["ion"] = ion
+    calls = {"_fit_stage": 0, "calibration_residuals": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(device, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(device, name, counting)
+    if ion is None:
+        calibrate(targets, CompactModelParams())
+    else:
+        with pytest.raises(CalibrationError):
+            calibrate(targets, CompactModelParams())
+    sweeps, rem = divmod(calls["_fit_stage"], len(device._STAGES))
+    assert rem == 0 and sweeps >= 1
+    assert calls["calibration_residuals"] == sweeps
+
+
 def test_fit_ion_single_knob():
     p = fit_ion(CompactModelParams(), 2e-6, VDD)
     assert drain_current(p, VDD, VDD, 300.0)[0] == pytest.approx(2e-6, rel=1e-2)

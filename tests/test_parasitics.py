@@ -1,8 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cfetsim.circuit import Capacitor, Netlist, Resistor
-from cfetsim.errors import ComparisonError, ConnectivityError, GeometryError
+from cfetsim import cli, geometry, parasitics
+from cfetsim.config import load_config
+from cfetsim.errors import (
+    ComparisonError,
+    ConnectivityError,
+    GeometryError,
+    IntegrityError,
+    RegionNotFoundError,
+)
 from cfetsim.geometry import (
     RAIL_NAMES,
     BeolSpec,
@@ -26,6 +36,7 @@ from cfetsim.parasitics import (
 
 EPS0 = 8.8541878128e-12
 NM = 1e-9
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sample_2tier.ini"
 
 
 def plate_pair(gap=1.0, width=100.0, thickness=4.0, guard=5.0):
@@ -74,6 +85,16 @@ def test_capacitance_linear_in_permittivity(library):
     lib2 = override(library, "sio2", "eps_r", 2 * 3.9)
     cm2 = extract_capacitance(lib2 and grid, lib2, ["A", "B"], tol=1e-11)
     assert np.allclose(cm2.c, 2.0 * cm1.c, rtol=1e-9)
+
+
+@pytest.mark.parametrize("conductors, error, message", [
+    (["A"], GeometryError, "need at least two conductors"),
+    (["A", "Nope"], RegionNotFoundError, "conductor 'Nope' not on grid"),
+    (["A", "B", "A"], GeometryError, "conductor 'A' is listed twice"),
+])
+def test_capacitance_rejects_bad_conductor_lists(library, conductors, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        extract_capacitance(plate_pair(), library, conductors)
 
 
 def test_maxwell_structure_validated():
@@ -135,8 +156,20 @@ def test_disconnected_terminals_raise(library):
         extract_resistance(grid, library, [("A", "B")], terminals={"A": t1, "B": t2})
 
 
+def test_conductor_with_non_metal_cells_raises(library):
+    """A label whose cells are partly dielectric has no conductivity there."""
+    regions = [
+        Region(((0, 20), (0, 4), (0, 4)), "interconnect_metal", label="bar"),
+        Region(((20, 40), (0, 4), (0, 4)), "sio2", label="bar"),
+    ]
+    grid = voxelize(regions, 2.0)
+    with pytest.raises(ConnectivityError, match="^conductor 'bar' has non-metal cells$"):
+        extract_resistance(grid, library, [("A", "B")], terminals=bar_end_terminals(grid))
+
+
 def test_terminals_on_two_parts_of_one_label_raise(library):
-    """One label on two bars that do not touch: the labels agree, the parts do not."""
+    """One label on two bars that do not touch: the labels agree, but the
+    label is not one face-connected piece."""
     regions = [
         Region(((0, 50), (0, 4), (0, 4)), "sio2"),
         Region(((0, 20), (0, 4), (0, 4)), "interconnect_metal", label="bar"),
@@ -147,8 +180,7 @@ def test_terminals_on_two_parts_of_one_label_raise(library):
     terms = {"A": [g for g in faces if g[:2] == (0, 0)],
              "B": [g for g in faces if g[:2] == (0, 1)]}
     assert terms["A"] and terms["B"]
-    with pytest.raises(ConnectivityError,
-                       match="^terminals on 'bar' are not on one connected component$"):
+    with pytest.raises(IntegrityError, match="^conductor 'bar' splits into 2 parts$"):
         extract_resistance(grid, library, [("A", "B")], terminals=terms)
 
 
@@ -161,6 +193,24 @@ def test_terminal_without_faces_raises(library, empty):
     first = "A" if empty == "both" else empty
     with pytest.raises(ConnectivityError, match=f"terminal '{first}' has no faces"):
         extract_resistance(grid, library, [("A", "B")], terminals=terms)
+
+
+def test_resistance_labels_the_grid_once(library, monkeypatch):
+    """One connectivity pass covers every pair of the 3 nm sample inverter."""
+    grid, _, wired, _ = cli.build_inverter_grid(load_config(str(SAMPLE_CONFIG)), "2tier")
+    terms = inverter_terminals(grid, wired)
+    calls = []
+    real = geometry.face_components
+
+    def counting(labels):
+        calls.append(labels.shape)
+        return real(labels)
+    monkeypatch.setattr(geometry, "face_components", counting)
+    if hasattr(parasitics, "face_components"):
+        monkeypatch.setattr(parasitics, "face_components", counting)
+    rr = extract_resistance(grid, library, terminals=terms)
+    assert len(rr.entries) == 4
+    assert calls == [grid.dims]
 
 
 def test_terminals_on_unlabelled_cells_raise(library, inverter_grid2):
