@@ -1,17 +1,1 @@
 """Desk-scale electro-thermal and parasitic RC analysis of stacked CFET cells."""
-
-__version__ = "0.1.0"
-
-from .geometry import (  # noqa: F401
-    BeolSpec,
-    DeviceSpec,
-    Region,
-    StackConfig,
-    VoxelGrid,
-    build_cfet_stack,
-    build_inverter_cell,
-    default_stack,
-    locate_conductors,
-    voxelize,
-)
-from .materials import Material, default_library, override  # noqa: F401

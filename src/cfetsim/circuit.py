@@ -41,6 +41,7 @@ GROUND = "0"
 ABSTOL = 1e-6  # V, Newton update at which a step counts as converged
 NEWTON_MAX_ITER = 60
 LTE_TOL = 7e-6  # V, estimated local truncation error at which a step is accepted
+MAX_PRINT_SAMPLES = 10**6  # desk scale: 8 MB per node waveform
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,11 @@ class Resistor:
     n2: str
     value: float  # Ohm
 
+    def __post_init__(self):
+        if not 0 < self.value < math.inf:
+            raise NetlistError(
+                f"{self.name}: resistance must be positive and finite, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Capacitor:
@@ -57,6 +63,11 @@ class Capacitor:
     n1: str
     n2: str
     value: float  # F
+
+    def __post_init__(self):
+        if not 0 <= self.value < math.inf:
+            raise NetlistError(
+                f"{self.name}: capacitance must be >= 0 and finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +90,18 @@ class Transistor:
 
 @dataclass
 class Netlist:
+    """Elements with distinct names, in the order given."""
+
     elements: list = field(default_factory=list)
 
+    def __post_init__(self):
+        elements, self.elements = self.elements, []
+        for el in elements:
+            self.add(el)
+
     def add(self, element):
+        if any(el.name == element.name for el in self.elements):
+            raise NetlistError(f"duplicate element name {element.name!r}")
         self.elements.append(element)
         return self
 
@@ -164,12 +184,8 @@ class _Mna:
         c_full = np.zeros((self.n + 1, self.n + 1))
         for el in netlist.elements:
             if isinstance(el, Resistor):
-                if not el.value > 0:
-                    raise NetlistError(f"{el.name}: resistance must be positive")
                 _stamp_pair(g_full, idx[el.n1], idx[el.n2], 1.0 / el.value)
             elif isinstance(el, Capacitor):
-                if el.value < 0:
-                    raise NetlistError(f"{el.name}: negative capacitance")
                 _stamp_pair(c_full, idx[el.n1], idx[el.n2], el.value)
         for k, src in enumerate(self.vsources):
             row = self.nv + k
@@ -371,6 +387,10 @@ class Stimulus:
         check_rules({"dt_fs": (lambda v: v <= 1000 * self.edge_ps,
                                f"must not exceed the input edge of {1000 * self.edge_ps:g} fs")},
                     vars(self))
+        # the print grid holds period / dt + 1 samples of every node
+        check_rules({"dt_fs": (lambda v: 1000 * self.period_ps / v + 1 <= MAX_PRINT_SAMPLES,
+                               f"must leave at most {MAX_PRINT_SAMPLES:,} print samples in "
+                               f"the {self.period_ps:g} ps period")}, vars(self))
 
     def pwl(self, vdd: float):
         ps = 1e-12

@@ -20,7 +20,6 @@ from .errors import (
     CfetSimError,
     ConfigurationError,
     ConvergenceError,
-    CouplingDivergenceError,
     SingularSystemError,
     TransientFailureError,
 )
@@ -29,7 +28,7 @@ from .output import atomic_write
 DESIGNS = ("2tier", "4tier-bottom", "4tier-top")
 
 _SOLVER_ERRORS = (ConvergenceError, SingularSystemError, TransientFailureError,
-                  CouplingDivergenceError, CalibrationError)
+                  CalibrationError)
 
 
 def _design_stack(config: RunConfig, design: str):
@@ -67,10 +66,10 @@ def calibrated_params(config: RunConfig, polarity: str):
     return device.calibrate(targets, seed)
 
 
-def _she_context(config: RunConfig, grid, tier: int):
+def _she_context(config: RunConfig, grid, tier: int, operator=None):
     return device.ThermalContext(
         grid=grid, materials=config.library, bc=config.bc,
-        device_region=f"tier{tier}.channel", **config.heat)
+        device_region=f"tier{tier}.channel", operator=operator, **config.heat)
 
 
 def _thermal_field(config: RunConfig, grid, tier: int, polarity: str):
@@ -181,8 +180,7 @@ def cmd_delay(args) -> int:
     if args.she == "on":
         grid, _, (p_tier, n_tier), _ = built
         ctx_n = _she_context(config, grid, n_tier).prepare()
-        ctx_p = _she_context(config, grid, p_tier)
-        ctx_p.operator = ctx_n.operator  # one grid, one heat operator
+        ctx_p = _she_context(config, grid, p_tier, ctx_n.operator)  # one grid, one operator
         res = circuit.electro_thermal_delay(
             nparams, pparams, ctx_n=ctx_n, ctx_p=ctx_p,
             vdd=vdd, parasitic_netlist=para, load_c=config.load_c, stimulus=config.stimulus,

@@ -376,6 +376,10 @@ class ThermalContext:
     context solves the unit-power hotspot field once: the fixed-point loop
     reuses its per-watt channel response, and the field at any power is
     that unit rise scaled.
+
+    `operator` may be given: another context's operator for the same grid,
+    materials and boundary conditions, which `prepare` then reuses. Left
+    None, the first `prepare` assembles it.
     """
 
     grid: object
@@ -384,16 +388,15 @@ class ThermalContext:
     device_region: str
     concentration: float = 0.7
     tol: float = 1e-8  # heat-solve tolerance
+    operator: ThermalOperator | None = None
 
-    operator: ThermalOperator | None = field(default=None, init=False)
     r_mean: float = field(default=0.0, init=False)  # K/W channel-mean rise
     r_max: float = field(default=0.0, init=False)  # K/W peak rise
     _unit_q: np.ndarray | None = field(default=None, init=False, repr=False)
     _unit_rise: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def prepare(self):
-        """Solve the unit rise; an `operator` set beforehand for the same grid,
-        materials and boundary conditions is reused, not assembled again."""
+        """Solve the unit rise, assembling `operator` unless it was given."""
         if self._unit_rise is not None:
             return self
         if self.operator is None:

@@ -71,7 +71,7 @@ class ConnectivityError(CfetSimError):
 
 
 class ComparisonError(CfetSimError):
-    """Netlist comparison has no shared elements."""
+    """Two netlists share no element names, or a shared one has a zero base value."""
 
 
 class NetlistError(CfetSimError):

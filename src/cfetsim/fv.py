@@ -98,15 +98,6 @@ def _box(active: np.ndarray) -> tuple[slice, ...]:
     return tuple(box)
 
 
-def _half_conductance(grid, coeff, idx, axis, r_surface):
-    """Conductance from the centres of the cells at `idx`, a tuple of index
-    arrays, to their faces normal to `axis`, with `r_surface` in series."""
-    w = [grid.widths(a) * NM for a in range(3)]
-    a, b = (x for x in range(3) if x != axis)
-    area = w[a][idx[a]] * w[b][idx[b]]
-    return area / (w[axis][idx[axis]] / 2 / coeff[idx] + r_surface)
-
-
 def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
     """(A, B) over the active cells, with one column of B per fixed value.
 
@@ -170,10 +161,12 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
     del flat, r, both, g, low, g_hi, g_lo  # not alive at the compression's peak
 
     b_rows, b_cols, b_vals = [], [], []
-    for axis, cells, column in fixed:
-        idx = np.unravel_index(cells, grid.dims)
-        g = _half_conductance(grid, coeff, idx, axis, r_surface[column])
-        d = dof[tuple(i - s.start for i, s in zip(idx, box))]
+    w = [x.ravel() for x in w]
+    for axis, cells, column in fixed:  # half conductances A / (d / c + r_surface)
+        idx = tuple(i - s.start for i, s in zip(np.unravel_index(cells, grid.dims), box))
+        a, b = (x for x in range(3) if x != axis)
+        g = w[a][idx[a]] * w[b][idx[b]] / (w[axis][idx[axis]] / 2 / c[idx] + r_surface[column])
+        d = dof[idx]
         np.add.at(diag, d, g)
         b_rows.append(d)
         b_cols.append(np.broadcast_to(column, d.shape))

@@ -36,13 +36,13 @@ def parse_netlist(text: str) -> Netlist:
             value = float(value_s)
         except ValueError:
             raise NetlistError(f"line {lineno}: bad value {value_s!r}") from None
-        kind = name[0].upper()
-        if kind == "R":
-            nl.add(Resistor(name, n1, n2, value))
-        elif kind == "C":
-            nl.add(Capacitor(name, n1, n2, value))
-        else:
+        kind = {"R": Resistor, "C": Capacitor}.get(name[0].upper())
+        if kind is None:
             raise NetlistError(f"line {lineno}: unsupported element {name!r}")
+        try:
+            nl.add(kind(name, n1, n2, value))
+        except NetlistError as exc:
+            raise NetlistError(f"line {lineno}: {exc}") from None
     return nl
 
 

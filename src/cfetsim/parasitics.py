@@ -240,7 +240,6 @@ def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,
     """Two-terminal elements from the extraction, couplings below floor pruned."""
     elements = []
     pruned = []
-    names_seen = set()
     for i, a in enumerate(cmatrix.names):
         for j in range(i + 1, len(cmatrix.names)):
             b = cmatrix.names[j]
@@ -254,10 +253,6 @@ def to_netlist(cmatrix: CapacitanceMatrix, rreport: ResistanceReport,
         name = f"R_{e.node_a}_{e.node_b}"
         elements.append(Resistor(name, e.node_a, e.node_b, e.r))
     elements.sort(key=lambda el: (type(el).__name__, el.name))
-    for el in elements:
-        if el.name in names_seen:
-            raise GeometryError(f"duplicate element name {el.name!r}")
-        names_seen.add(el.name)
     return Netlist(elements), pruned
 
 
@@ -285,7 +280,8 @@ class RatioTable:
 
 
 def compare_tiers(base: Netlist, variant: Netlist) -> RatioTable:
-    """Per-element variant/base ratios over the shared element names."""
+    """Per-element variant/base ratios over the shared element names, each
+    with a nonzero base value."""
     base_vals = {el.name: el.value for el in base.elements
                  if isinstance(el, (Resistor, Capacitor))}
     var_vals = {el.name: el.value for el in variant.elements
@@ -293,6 +289,9 @@ def compare_tiers(base: Netlist, variant: Netlist) -> RatioTable:
     shared = sorted(set(base_vals) & set(var_vals))
     if not shared:
         raise ComparisonError("netlists share no element names")
+    for name in shared:
+        if base_vals[name] == 0:
+            raise ComparisonError(f"{name}: the base value is 0, so the ratio is undefined")
     missing = sorted(set(base_vals) ^ set(var_vals))
     rows = [RatioRow(name, base_vals[name], var_vals[name]) for name in shared]
     return RatioTable(rows, missing)

@@ -157,7 +157,7 @@ def energy_balance(op: ThermalOperator, fld: TemperatureField,
 
 
 def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float,
-                         concentration: float = 0.7) -> HeatSourceField:
+                         concentration: float) -> HeatSourceField:
     """Deposit power in a channel, biased toward its drain-side half.
 
     x runs from source to drain (see `geometry`), so the drain-side half

@@ -336,6 +336,31 @@ def test_spliced_netlist_separates_device_nodes(devices):
     assert "Drain" not in nodes
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Resistor("R1", "a", "0", math.nan), "R1: resistance must be positive and finite"),
+    (lambda: Resistor("R1", "a", "0", -1.0), "R1: resistance must be positive and finite"),
+    (lambda: Capacitor("C1", "a", "0", math.nan), "C1: capacitance must be >= 0 and finite"),
+    (lambda: Capacitor("C1", "a", "0", math.inf), "C1: capacitance must be >= 0 and finite"),
+    (lambda: replace(Capacitor("C1", "a", "0", 1e-18), value=-1e-18),
+     "C1: capacitance must be >= 0 and finite"),
+    (lambda: Netlist([Resistor("R1", "a", "0", 1.0), Capacitor("R1", "a", "0", 0.0)]),
+     "duplicate element name 'R1'"),
+    (lambda: Netlist().add(Resistor("R1", "a", "0", 1.0)).add(Resistor("R1", "b", "0", 1.0)),
+     "duplicate element name 'R1'"),
+], ids=["r-nan", "r-negative", "c-nan", "c-inf", "c-replaced-negative", "netlist-init",
+        "netlist-add"])
+def test_elements_are_checked_where_they_are_made(make, message):
+    with pytest.raises(NetlistError, match=message):
+        make()
+
+
+def test_splicing_under_an_intrinsic_name_raises(devices):
+    pn, pp = devices
+    para = Netlist([Capacitor("Cload", "Output", "0", 1e-18)])
+    with pytest.raises(NetlistError, match="duplicate element name 'Cload'"):
+        build_inverter_netlist(pn, pp, VDD, 1e-16, Stimulus(), para)
+
+
 def test_device_stamps_evaluate_the_model_through_the_module_attribute(devices, monkeypatch):
     """One evaluation per transistor per stamp, since the model returns its
     slopes with the current, each a call of `circuit.drain_current`, which
@@ -419,6 +444,10 @@ def test_pwl_value_equals_numpy_interp_bitwise():
     ({"dt_fs": 0.0}, "dt_fs"), ({"dt_fs": -5.0}, "dt_fs"),
     ({"dt_fs": 1000.5, "edge_ps": 1.0}, "dt_fs must not exceed the input edge of 1000 fs"),
     ({"dt_fs": 50000.0, "edge_ps": 2.0}, "dt_fs must not exceed the input edge of 2000 fs"),
+    # 2e10, 1,000,001 and inf print samples, against the cap of 1e6
+    ({"dt_fs": 1e-6}, "dt_fs must leave at most 1,000,000 print samples in the 20 ps period"),
+    ({"dt_fs": 0.02}, "dt_fs must leave at most 1,000,000 print samples in the 20 ps period"),
+    ({"dt_fs": 5e-324}, "dt_fs must leave at most 1,000,000 print samples in the 20 ps period"),
 ])
 def test_stimulus_rejects_non_increasing_pwl(kwargs, key):
     with pytest.raises(ConfigurationError, match=key):

@@ -436,6 +436,63 @@ def test_cmd_compare_reports_unmatched_elements(tmp_path, capsys):
     assert "unmatched" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variant, message", [
+    ("C_a_b a b nan", "line 2: C_a_b: capacitance must be >= 0 and finite, got nan"),
+    ("C_a_b a b 1e400", "line 2: C_a_b: capacitance must be >= 0 and finite, got inf"),
+    ("C_a_b a b -1e-18", "line 2: C_a_b: capacitance must be >= 0 and finite, got -1e-18"),
+    ("R_a_b a b 0", "line 2: R_a_b: resistance must be positive and finite, got 0.0"),
+    ("R_a_b a b 100\nR_a_b a b 200", "line 3: duplicate element name 'R_a_b'"),
+], ids=["nan", "inf", "negative-c", "zero-r", "duplicate-name"])
+def test_cmd_compare_rejects_bad_elements(tmp_path, capsys, variant, message):
+    a, b, out = tmp_path / "a.sp", tmp_path / "b.sp", tmp_path / "r.csv"
+    a.write_text("R_a_b a b 50\nC_a_b a b 1e-18\n")
+    b.write_text(f"* variant\n{variant}\n")
+    rc = cli.main(["compare", "--base", str(a), "--variant", str(b), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cmd_compare_zero_base_value_exits_two(tmp_path, capsys):
+    a, b, out = tmp_path / "a.sp", tmp_path / "b.sp", tmp_path / "r.csv"
+    a.write_text("R_a_b a b 50\nC_a_b a b 0\n")
+    b.write_text("R_a_b a b 100\nC_a_b a b 1e-18\n")
+    rc = cli.main(["compare", "--base", str(a), "--variant", str(b), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: C_a_b: the base value is 0, so the ratio is undefined\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("para, message", [
+    ("C_x Output 0 nan", "line 1: C_x: capacitance must be >= 0 and finite, got nan"),
+    ("R_Output_Drain Output Drain 50\nR_Output_Drain Output Drain 50",
+     "line 2: duplicate element name 'R_Output_Drain'"),
+    ("Cload Output 0 1e-18", "duplicate element name 'Cload'"),
+], ids=["nan", "duplicate-name", "intrinsic-name"])
+def test_cmd_delay_rejects_bad_spliced_elements(tmp_path, capsys, para, message):
+    path = write_config(tmp_path)
+    sp = tmp_path / "para.sp"
+    sp.write_text(para + "\n")
+    rc = cli.main(["delay", path, "--design", "2tier", "--parasitics", str(sp),
+                   "--out", str(tmp_path / "d")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_importing_the_package_loads_no_module(tmp_path):
+    """`import cfetsim` runs the package docstring alone: no numpy, no scipy,
+    no cfetsim module."""
+    script = ("import sys, cfetsim\n"
+              "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('numpy', 'scipy')\n"
+              "             or m.startswith('cfetsim.')))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "[]\n"
+
+
 def test_cli_runs_without_ndimage_or_optimize(tmp_path):
     # thermal, and delay with parasitics and SHE, reach every connectivity
     # check and root find; a fresh interpreter shows what they import
@@ -826,6 +883,9 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[experiment] dt_fs must be positive and finite, got 0.0"),
     (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 2000"),
      "[experiment] dt_fs must not exceed the input edge of 1000 fs, got 2000.0"),
+    (BASE_CONFIG.replace("dt_fs = 10", "dt_fs = 1e-6"),
+     "[experiment] dt_fs must leave at most 1,000,000 print samples in the 20 ps period, "
+     "got 1e-06"),
     (BASE_CONFIG.replace("power = 2e-6", "power = 2e-6\ntop_h = 0"),
      "[thermal] top_h must be positive, got 0.0"),
     (BASE_CONFIG + "\n[she]\ndamping = 0\n", "[she] damping must lie in (0, 1], got 0.0"),
@@ -865,6 +925,7 @@ def test_cmd_delay_rejects_edge_longer_than_the_phase(tmp_path, monkeypatch, cap
      "[beol] mol_standoff must be non-negative and finite, got inf"),
 ], ids=["edge_ps", "kappa", "mu0", "partial-targets", "ioff-above-ion", "ion-only-negative",
         "resolution", "refine", "tier_count", "vdd", "p.vsat0", "dt_fs", "dt_fs-above-edge",
+        "dt_fs-print-samples",
         "top_h", "damping",
         "load_c-nan", "parasitic_floor-inf", "n.c_gd-nan", "p.k_vth-inf", "n.c_gd-negative",
         "n.c_gd-above-c_g", "tier_gap", "standoff", "pair_gap-2tier", "eps_r", "eps_r-inf",

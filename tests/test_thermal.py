@@ -249,13 +249,13 @@ def test_hotspot_concentration_one(device_grid2):
 
 
 def test_hotspot_zero_power(device_grid2):
-    src = drain_hotspot_source(device_grid2, "tier0.channel", 0.0)
+    src = drain_hotspot_source(device_grid2, "tier0.channel", 0.0, concentration=0.7)
     assert not src.q.any()
 
 
 def test_hotspot_unknown_region(device_grid2):
     with pytest.raises(RegionNotFoundError):
-        drain_hotspot_source(device_grid2, "tier9.channel", 1e-6)
+        drain_hotspot_source(device_grid2, "tier9.channel", 1e-6, concentration=0.7)
 
 
 def test_heatmap_csv_round_trip(tmp_path, library):
@@ -385,6 +385,6 @@ def test_source_validation(device_grid2):
     with pytest.raises(ConfigurationError):
         HeatSourceField(np.full(device_grid2.dims, -1.0), device_grid2)
     with pytest.raises(ConfigurationError):
-        drain_hotspot_source(device_grid2, "tier0.channel", -1.0)
+        drain_hotspot_source(device_grid2, "tier0.channel", -1.0, concentration=0.7)
     with pytest.raises(ConfigurationError):
         drain_hotspot_source(device_grid2, "tier0.channel", 1e-6, concentration=0.0)
