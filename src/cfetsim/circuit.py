@@ -482,17 +482,17 @@ def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams
                         vdd: float, parasitic_netlist: Netlist | None, load_c: float,
                         stimulus: Stimulus, t_n: float = 300.0,
                         t_p: float = 300.0) -> InverterResult:
-    """Propagation delay with and without the spliced parasitic network."""
+    """Propagation delay with and without the spliced network; both netlists are built first."""
     base = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
                                   None, t_n, t_p)
+    spliced = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
+                                     parasitic_netlist, t_n, t_p)
     waves_base = transient(base, stimulus.tstop, stimulus.dt)
     tp_base = propagation_delay(waves_base["Input"], waves_base["Output"], vdd)
 
     if parasitic_netlist is None or not parasitic_netlist.elements:
         return InverterResult(tp_base, tp_base, waves_base, waves_base)
 
-    spliced = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
-                                     parasitic_netlist, t_n, t_p)
     waves_para = transient(spliced, stimulus.tstop, stimulus.dt)
     tp_para = propagation_delay(waves_para["Input"], waves_para["Output"], vdd)
     return InverterResult(tp_base, tp_para, waves_base, waves_para)

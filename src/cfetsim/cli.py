@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -90,11 +91,10 @@ def _thermal_field(config: RunConfig, grid, tier: int, polarity: str):
 
 def cmd_thermal(args) -> int:
     config = load_config(args.config)
-    try:
-        tier_s, _, pol = args.device.partition(":")
-        tier = int(tier_s)
-    except ValueError:
+    form = re.fullmatch(r"([-+]?[0-9]+):([np])", args.device)
+    if form is None:
         raise ConfigurationError(f"--device must look like 0:p, got {args.device!r}")
+    tier, pol = int(form[1]), form[2]
     tiers = config.stack.tiers  # the design below keeps the configured stack
     polarity = tiers[tier].polarity if 0 <= tier < len(tiers) else None
     if polarity != pol:

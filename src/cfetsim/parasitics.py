@@ -125,14 +125,13 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     precond = fv.multigrid(mat, domain)  # one hierarchy for every right-hand side
 
     phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
-    rhs = coupling @ phi_fixed
     # all conductors at 1 V hold the potential at 1, so the solutions sum to
     # 1 and the last solve starts from 1 minus the others; it is still a
     # full solve checked on its own residual, so `asymmetry` keeps its meaning
     phi = np.empty((mat.shape[0], nrhs))
     rest = np.ones(mat.shape[0])  # 1 minus the solutions so far
     for i, name in enumerate(conductors):
-        phi[:, i] = fv.solve_spd(mat, rhs[:, i], tol, precond,
+        phi[:, i] = fv.solve_spd(mat, coupling @ phi_fixed[:, i], tol, precond,
                                  x0=rest if i == nrhs - 1 else None,
                                  name=f"capacitance solve {name}")
         rest -= phi[:, i]

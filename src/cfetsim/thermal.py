@@ -107,12 +107,14 @@ class TemperatureField:
 
 @dataclass
 class ThermalOperator:
+    """A T = q V + B T_sink on `grid`: `matrix` A, `boundary` B (a column per sink
+    face), sinks at `ambient` K, `precond` the multigrid of A; V is formed per solve."""
+
     matrix: sparse.csr_matrix
-    boundary: sparse.csr_matrix  # B: cell-to-sink conductances, one column per sink face
+    boundary: sparse.csr_matrix
     grid: VoxelGrid
     ambient: float
-    cell_volumes_m3: np.ndarray
-    precond: sparse.linalg.LinearOperator  # fv.multigrid of `matrix`
+    precond: sparse.linalg.LinearOperator
 
 
 def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> ThermalOperator:
@@ -125,9 +127,7 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
             sinks.append((axis, cells, len(r_sink)))
             r_sink.append(1.0 / bc.h[key])
     mat, boundary = fv.assemble(grid, k, everywhere, sinks, r_sink)
-    wx, wy, wz = fv.widths(grid)
-    return ThermalOperator(mat, boundary, grid, bc.ambient, (wx * wy * wz).ravel(),
-                           fv.multigrid(mat, everywhere))
+    return ThermalOperator(mat, boundary, grid, bc.ambient, fv.multigrid(mat, everywhere))
 
 
 def solve_steady(op: ThermalOperator, sources: HeatSourceField,
@@ -135,8 +135,9 @@ def solve_steady(op: ThermalOperator, sources: HeatSourceField,
     """CG solve preconditioned by the operator's multigrid; deterministic for
     fixed inputs at a fixed BLAS thread count."""
     ambient = np.full(op.boundary.shape[1], op.ambient)  # every sink
-    b = op.boundary @ ambient + sources.q.ravel() * op.cell_volumes_m3
-    x0 = np.full(op.matrix.shape[0], op.ambient)
+    wx, wy, wz = fv.widths(op.grid)
+    b = op.boundary @ ambient + sources.q.ravel() * (wx * wy * wz).ravel()
+    x0 = np.broadcast_to(op.ambient, b.shape)  # cg copies it into its own iterate
     x = fv.solve_spd(op.matrix, b, tol, op.precond, x0=x0, name="thermal solve")
     return TemperatureField(x.reshape(op.grid.dims), op.ambient)
 

@@ -470,7 +470,15 @@ def test_cmd_compare_zero_base_value_exits_two(tmp_path, capsys):
      "line 2: duplicate element name 'R_Output_Drain'"),
     ("Cload Output 0 1e-18", "duplicate element name 'Cload'"),
 ], ids=["nan", "duplicate-name", "intrinsic-name"])
-def test_cmd_delay_rejects_bad_spliced_elements(tmp_path, capsys, para, message):
+def test_cmd_delay_rejects_bad_spliced_elements(tmp_path, monkeypatch, capsys, para, message):
+    """A splice is rejected before any transient runs."""
+    calls, real = [], circuit.transient
+
+    def counting(*args, **kwargs):
+        calls.append("transient")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, "transient", counting)
     path = write_config(tmp_path)
     sp = tmp_path / "para.sp"
     sp.write_text(para + "\n")
@@ -478,6 +486,7 @@ def test_cmd_delay_rejects_bad_spliced_elements(tmp_path, capsys, para, message)
                    "--out", str(tmp_path / "d")])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
 
 
 def test_importing_the_package_loads_no_module(tmp_path):
@@ -982,6 +991,19 @@ def test_cmd_thermal_negative_tier_rejected_before_meshing(tmp_path, monkeypatch
     rc = cli.main(["thermal", path, "--device=-1:n", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "--device -1:n: tier -1 is absent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["0", "0:p:q", "0:x", ":p", "p:0"])
+def test_cmd_thermal_malformed_device_rejected_before_meshing(tmp_path, monkeypatch, capsys,
+                                                              spec):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built for a malformed --device")
+
+    monkeypatch.setattr(cli, "build_inverter_grid", no_grid)
+    path = write_config(tmp_path)
+    rc = cli.main(["thermal", path, f"--device={spec}", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --device must look like 0:p, got {spec!r}\n"
 
 
 @pytest.mark.parametrize("setting, message", [

@@ -381,6 +381,26 @@ def test_heatmap_export_peak_memory_is_within_two_formatted_fields(tmp_path):
     assert fld.reprs.dtype == "S25" and fld.reprs.shape == dims
 
 
+def test_heat_solve_peak_memory_is_within_nine_and_a_half_vectors(library, device_grid2):
+    """numpy reports its buffers to tracemalloc: one heat solve on the 3 nm
+    device grid allocates at most 9.5 vectors of 8 bytes per unknown at its
+    peak. It reads 8.28: the right-hand side, cg's own vectors and two of
+    the finest cycle level's. It read 11.28 with one vector more for each
+    of a full start vector beside cg's copy, the residual each level held
+    through its coarse correction, and the intp copy of the aggregate
+    indices that np.take made to prolong."""
+    op = assemble(device_grid2, library, default_bc())
+    src = drain_hotspot_source(device_grid2, "tier0.channel", 1e-5, 0.7)
+    solve_steady(op, src, 1e-8)  # imports and caches first
+    tracemalloc.start()
+    try:
+        solve_steady(op, src, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.5 * 8 * op.matrix.shape[0]
+
+
 def test_source_validation(device_grid2):
     with pytest.raises(ConfigurationError):
         HeatSourceField(np.full(device_grid2.dims, -1.0), device_grid2)
