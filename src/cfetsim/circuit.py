@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dgesv
 from scipy.sparse import csgraph
 
-from .device import CompactModelParams, drain_current, she_operating_point
+from .device import T_REF, CompactModelParams, drain_current, she_operating_point
 from .errors import (
     POSITIVE,
     ConfigurationError,
@@ -85,7 +85,7 @@ class Transistor:
     g: str
     s: str
     params: CompactModelParams
-    temperature: float = 300.0
+    temperature: float = T_REF
 
 
 @dataclass
@@ -423,7 +423,7 @@ RAIL_PAIRS = (("Input", "Gate"), ("Output", "Drain"),
 def build_inverter_netlist(nparams: CompactModelParams, pparams: CompactModelParams,
                            vdd: float, load_c: float, stimulus: Stimulus,
                            parasitics: Netlist | None = None,
-                           t_n: float = 300.0, t_p: float = 300.0) -> Netlist:
+                           t_n: float = T_REF, t_p: float = T_REF) -> Netlist:
     """CMOS inverter with intrinsic device caps, optionally spliced parasitics.
 
     Rail-side nodes keep the names Input / Output / Power; Ground is the
@@ -480,8 +480,8 @@ class InverterResult:
 
 def inverter_experiment(nparams: CompactModelParams, pparams: CompactModelParams,
                         vdd: float, parasitic_netlist: Netlist | None, load_c: float,
-                        stimulus: Stimulus, t_n: float = 300.0,
-                        t_p: float = 300.0) -> InverterResult:
+                        stimulus: Stimulus, t_n: float = T_REF,
+                        t_p: float = T_REF) -> InverterResult:
     """Propagation delay with and without the spliced network; both netlists are built first."""
     base = build_inverter_netlist(nparams, pparams, vdd, load_c, stimulus,
                                   None, t_n, t_p)

@@ -22,7 +22,9 @@ from . import materials as mat_mod
 from .circuit import Stimulus
 from .device import SHE_RULES, CompactModelParams
 from .errors import POSITIVE, ConfigurationError, MaterialError, check_rules
+from .fv import NM
 from .geometry import BeolSpec, DeviceSpec, StackConfig, default_stack
+from .parasitics import EPS0
 from .thermal import THERMAL_RULES, ThermalBC, default_bc
 
 _UNIT_SUFFIXES = {
@@ -243,6 +245,6 @@ def _seed(exp: dict, spec: DeviceSpec, polarity: str) -> CompactModelParams:
     """The polarity's model seed on the cell's channel geometry."""
     given = {k: exp[f"{polarity}.{k}"] for k in _SEED_KEYS if f"{polarity}.{k}" in exp}
     return _build(f"[experiment] {polarity}.", CompactModelParams, polarity=polarity, **given,
-                  w_eff=2.0 * (spec.sheet_width + spec.sheet_thickness) * 1e-9,
-                  l_eff=spec.gate_length * 1e-9,
-                  cox=8.8541878128e-12 * 3.9 / (spec.eot * 1e-9))
+                  w_eff=2.0 * (spec.sheet_width + spec.sheet_thickness) * NM,
+                  l_eff=spec.gate_length * NM,
+                  cox=EPS0 * 3.9 / (spec.eot * NM))

@@ -455,8 +455,8 @@ def she_operating_point(p: CompactModelParams, vdd: float, ctx: ThermalContext,
             break
     else:
         raise CouplingDivergenceError(
-            f"electro-thermal loop open after {max_iter} iterations",
-            residual=residuals[-1])
+            f"electro-thermal loop open after {max_iter} iterations "
+            f"(last step {residuals[-1]:.3g} K)")
     i_final = current_magnitude(p, vdd, vdd, t_ch)
     power = i_final * vdd
     degradation = 1.0 - i_final / i_iso if i_iso > 0 else 0.0

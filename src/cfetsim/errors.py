@@ -49,10 +49,6 @@ class SingularSystemError(CfetSimError):
 class ConvergenceError(CfetSimError):
     """Iterative solver did not reach the requested tolerance."""
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class CouplingDivergenceError(ConvergenceError):
     """Electro-thermal fixed-point loop failed to settle."""

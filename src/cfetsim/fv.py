@@ -122,7 +122,8 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
     act, c = active[box], coeff[box]
     flat = np.flatnonzero(act)  # box-flat index of each unknown
     n = flat.size
-    index = np.int32 if 7 * n <= np.iinfo(np.int32).max else np.int64
+    # voxelize refuses grids above 2e7 cells, so 7 n < 2**31 - 1 always
+    index = np.int32
     dof = np.full(act.shape, -1, dtype=index)
     dof[act] = np.arange(n, dtype=index)
     w = np.ix_(*(grid.widths(a)[s] * NM for a, s in enumerate(box)))
@@ -289,7 +290,7 @@ def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,
 
     With the multigrid AMLI cycle a coarsening level adds no iterations, so
     the fixed limit `MAX_ITER` is a real stall signal: it raises
-    ConvergenceError naming the solve and carrying its residual.
+    ConvergenceError naming the solve and its residual.
 
     cg stops on its recursively updated residual, which keeps falling
     after the true one has levelled off at rounding level. So a reported
@@ -304,10 +305,9 @@ def solve_spd(a_mat, rhs: np.ndarray, tol: float, precond, x0=None,
         resid = float(np.linalg.norm(rhs - a_mat @ x) / norm_b)
         if info != 0:
             raise ConvergenceError(
-                f"{name} stalled after {MAX_ITER} iterations (residual {resid:.3g})",
-                residual=resid)
+                f"{name} stalled after {MAX_ITER} iterations (residual {resid:.3g})")
         if resid <= tol:
             return x
     raise ConvergenceError(
         f"{name} cannot reach tolerance {tol:.3g}: true residual {resid:.3g} "
-        f"after a restart", residual=resid)
+        f"after a restart")

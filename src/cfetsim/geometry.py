@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -436,6 +437,28 @@ class VoxelGrid:
             return np.zeros(self.dims, dtype=bool)
         return self.label == code
 
+    @cached_property
+    def conductors(self) -> dict[str, np.ndarray]:
+        """Map every label to its flat cell indices, checking face connectivity.
+
+        One `face_components` pass covers all labels; a label whose cells
+        fall into more than one component raises IntegrityError. Computed
+        once per grid, so `label` must not change after the first read.
+        """
+        parts = face_components(self.label).ravel()
+        labelled = parts >= 0
+        _, first = np.unique(parts[labelled], return_index=True)
+        n_parts = np.bincount(self.label.ravel()[labelled][first],
+                              minlength=len(self.label_names))
+        out = {}
+        for code, name in enumerate(self.label_names):
+            if n_parts[code] == 0:
+                continue
+            if n_parts[code] != 1:
+                raise IntegrityError(f"conductor {name!r} splits into {n_parts[code]} parts")
+            out[name] = np.flatnonzero(self.label.ravel() == code)
+        return out
+
 
 def _axis_edges(regions, axis, resolution, refinement):
     cuts = set()
@@ -538,27 +561,6 @@ def face_components(labels: np.ndarray) -> np.ndarray:
     graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(labels.size,) * 2)
     _, parts = csgraph.connected_components(graph, directed=False)
     return np.where(labels >= 0, parts.reshape(labels.shape), -1)
-
-
-def locate_conductors(grid: VoxelGrid) -> dict[str, np.ndarray]:
-    """Map every label to its flat cell indices, checking face connectivity.
-
-    One `face_components` pass covers all labels; a label whose cells
-    fall into more than one component raises IntegrityError.
-    """
-    parts = face_components(grid.label).ravel()
-    labelled = parts >= 0
-    _, first = np.unique(parts[labelled], return_index=True)
-    n_parts = np.bincount(grid.label.ravel()[labelled][first],
-                          minlength=len(grid.label_names))
-    out = {}
-    for code, name in enumerate(grid.label_names):
-        if n_parts[code] == 0:
-            continue
-        if n_parts[code] != 1:
-            raise IntegrityError(f"conductor {name!r} splits into {n_parts[code]} parts")
-        out[name] = np.flatnonzero(grid.label.ravel() == code)
-    return out
 
 
 def regions_csv(regions: list[Region]) -> str:

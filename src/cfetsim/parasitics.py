@@ -33,7 +33,7 @@ from .errors import (
     GeometryError,
     RegionNotFoundError,
 )
-from .geometry import VoxelGrid, locate_conductors
+from .geometry import VoxelGrid
 from .materials import Material, per_cell
 
 EPS0 = 8.8541878128e-12  # F/m
@@ -101,9 +101,8 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     """Maxwell capacitance matrix among named conductor labels."""
     if len(conductors) < 2:
         raise GeometryError("need at least two conductors")
-    located = locate_conductors(grid)
     for i, name in enumerate(conductors):
-        if name not in located:
+        if name not in grid.conductors:
             raise RegionNotFoundError(f"conductor {name!r} not on grid")
         if name in conductors[:i]:
             raise GeometryError(f"conductor {name!r} is listed twice")
@@ -111,7 +110,7 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
     nrhs = len(conductors)
     cond_id = np.full(grid.n_cells, -1, dtype=np.int32)
     for ci, name in enumerate(conductors):
-        cond_id[located[name]] = ci
+        cond_id[grid.conductors[name]] = ci
     cond_id = cond_id.reshape(grid.dims)
     domain = cond_id < 0
     # F/m; the cells of the extracted conductors are excluded from the domain
@@ -196,7 +195,7 @@ def extract_resistance(grid: VoxelGrid, materials: dict[str, Material],
     Each pair's terminals must lie on one label, every cell of which is
     metal; that label's cells are the solve's domain.
     """
-    locate_conductors(grid)  # every label is one face-connected piece
+    grid.conductors  # every label is one face-connected piece
     # Ohm m on metal, 0 elsewhere; sigma is 1 off the metal so that the
     # faces outside the solve's domain stay finite
     rho = per_cell(grid, materials, lambda m: m.rho_e if m.role == "conductor" else 0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,7 +24,7 @@ from cfetsim.device import (
     subthreshold_swing,
     threshold_voltage,
 )
-from cfetsim.errors import CalibrationError, ConfigurationError
+from cfetsim.errors import CalibrationError, ConfigurationError, CouplingDivergenceError
 from cfetsim.thermal import default_bc
 
 VDD = 0.75
@@ -387,6 +388,15 @@ def test_she_residuals_decrease(device_grid2, library):
                              she_context(device_grid2, library, "tier1.channel"))
     tail = op.residuals[1:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+def test_she_divergence_names_the_last_step(device_grid2, library):
+    p = fit_ion(CompactModelParams(k_vth=0.0), 1.6e-6, VDD)
+    ctx = she_context(device_grid2, library, "tier1.channel")
+    first = she_operating_point(p, VDD, ctx).residuals[0]
+    message = f"electro-thermal loop open after 1 iterations (last step {first:.3g} K)"
+    with pytest.raises(CouplingDivergenceError, match=f"^{re.escape(message)}$"):
+        she_operating_point(p, VDD, ctx, max_iter=1)
 
 
 def test_degradation_in_unit_interval_with_nonneg_coefficients():

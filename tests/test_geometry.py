@@ -23,7 +23,6 @@ from cfetsim.geometry import (
     build_inverter_cell,
     default_stack,
     face_components,
-    locate_conductors,
     regions_csv,
     voxelize,
     wired_tiers,
@@ -206,14 +205,14 @@ def test_refinement_target_must_be_positive(device_spec, target):
         voxelize(regions, 3.0, refinement={"hfo2": target})
 
 
-def test_locate_conductors_inverter(inverter_grid2):
-    conds = locate_conductors(inverter_grid2)
+def test_grid_conductors_inverter(inverter_grid2):
+    conds = inverter_grid2.conductors
     for rail in RAIL_NAMES:
         assert rail in conds
         assert len(conds[rail]) > 0
 
 
-def test_locate_conductors_severed(inverter_grid2):
+def test_grid_conductors_severed(inverter_grid2):
     grid = inverter_grid2
     cut = grid.label.copy()
     code = grid.label_code("Output")
@@ -226,12 +225,15 @@ def test_locate_conductors_severed(inverter_grid2):
 
     severed = replace(grid, label=cut)
     with pytest.raises(IntegrityError):
-        locate_conductors(severed)
+        severed.conductors
+    # a property that raises caches nothing, so a second read raises again
+    with pytest.raises(IntegrityError):
+        severed.conductors
 
 
-def test_locate_conductors_empty():
+def test_grid_conductors_empty():
     grid = voxelize([Region(((0, 4), (0, 4), (0, 4)), "sio2")], 1.0)
-    assert locate_conductors(grid) == {}
+    assert grid.conductors == {}
 
 
 def test_material_volume_exact_at_any_resolution(device_spec):

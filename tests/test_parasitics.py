@@ -214,6 +214,21 @@ def test_resistance_labels_the_grid_once(library, monkeypatch):
     assert calls == [grid.dims]
 
 
+def test_extract_design_labels_the_grid_once(monkeypatch):
+    """Capacitance and resistance extraction share one labelling of the grid."""
+    config = load_config(str(SAMPLE_CONFIG))
+    built = cli.build_inverter_grid(config, "2tier")
+    calls = []
+    real = geometry.face_components
+
+    def counting(labels):
+        calls.append(labels.shape)
+        return real(labels)
+    monkeypatch.setattr(geometry, "face_components", counting)
+    cli.extract_design(config, built)
+    assert calls == [built[0].dims]
+
+
 def test_terminals_on_unlabelled_cells_raise(library, inverter_grid2):
     """Unlabelled cells carry label -1, which must not index the last label."""
     cells = np.flatnonzero(inverter_grid2.label.ravel() < 0)[[0, -1]]
