@@ -460,34 +460,17 @@ class VoxelGrid:
         return out
 
 
-def _axis_edges(regions, axis, resolution, refinement):
-    cuts = set()
-    for r in regions:
-        lo, hi = r.box[axis]
-        cuts.add(round(lo, 6))
-        cuts.add(round(hi, 6))
-    cuts = sorted(cuts)
-    edges = [cuts[0]]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        target = resolution
-        for r in regions:
-            key = r.label if r.label in refinement else r.material
-            if key in refinement:
-                lo, hi = r.box[axis]
-                if lo <= a + 1e-9 and hi >= b - 1e-9:
-                    target = min(target, refinement[key])
-        n = max(1, int(math.ceil((b - a) / target - 1e-9)))
-        edges.extend(a + (b - a) * k / n for k in range(1, n + 1))
-    return np.asarray(edges, dtype=float)
-
-
 def voxelize(regions: list[Region], resolution: float,
              refinement: dict[str, float] | None = None) -> VoxelGrid:
     """Rasterize regions onto a boundary-aligned grid, last writer wins.
 
-    Coordinate lines are inserted at every region boundary, so no cell
-    straddles a material interface and per-material volumes are exact.
-    ``refinement`` maps a label or material name to a finer cell target.
+    Every box coordinate is placed on the 1e-6 nm lattice, and the distinct
+    values along an axis are its cuts, each one a grid line. A region covers
+    the cells between the lines of its own two cuts, so boxes that meet at a
+    computed coordinate share one line and per-material volumes are exact up
+    to the lattice. ``refinement`` maps a label or material name to a finer
+    cell target; the gap between two cuts takes the finest target of the
+    regions spanning it.
     """
     if not regions:
         raise GeometryError("no regions to voxelize")
@@ -499,20 +482,35 @@ def voxelize(regions: list[Region], resolution: float,
         if not target > 0:
             raise RefinementError(f"refinement target {key!r} must be positive, got {target}")
 
+    targets = []
     for r in regions:
         key = r.label if r.label in refinement else r.material
         target = min(resolution, refinement.get(key, resolution))
+        targets.append(target)
         thin = r.thinnest_extent()
         if target > MAX_ASPECT * thin:
             raise RefinementError(
                 f"resolution {target} nm too coarse for region "
                 f"{r.label or r.material} ({thin} nm thin)")
 
-    x_edges = _axis_edges(regions, 0, resolution, refinement)
-    y_edges = _axis_edges(regions, 1, resolution, refinement)
-    z_edges = _axis_edges(regions, 2, resolution, refinement)
+    edges, spans = [], []
+    for axis in range(3):
+        snapped = [tuple(round(c, 6) for c in r.box[axis]) for r in regions]
+        cuts = sorted({c for pair in snapped for c in pair})
+        index = {c: i for i, c in enumerate(cuts)}
+        cut_spans = [(index[lo], index[hi]) for lo, hi in snapped]
+        gap_targets = np.full(len(cuts) - 1, resolution, dtype=float)
+        for (i0, i1), target in zip(cut_spans, targets):
+            gap_targets[i0:i1] = np.minimum(gap_targets[i0:i1], target)
+        axis_edges, lines = [cuts[0]], [0]
+        for a, b, target in zip(cuts[:-1], cuts[1:], gap_targets):
+            n = max(1, int(math.ceil((b - a) / target - 1e-9)))
+            axis_edges.extend(a + (b - a) * k / n for k in range(1, n + 1))
+            lines.append(len(axis_edges) - 1)
+        edges.append(np.asarray(axis_edges, dtype=float))
+        spans.append([slice(lines[i0], lines[i1]) for i0, i1 in cut_spans])
 
-    dims = (len(x_edges) - 1, len(y_edges) - 1, len(z_edges) - 1)
+    dims = tuple(len(e) - 1 for e in edges)
     if math.prod(dims) > 20_000_000:
         raise GeometryError(f"grid of {dims} cells is beyond desk scale")
 
@@ -526,21 +524,14 @@ def voxelize(regions: list[Region], resolution: float,
             names.append(name)
         return names.index(name)
 
-    edges = (x_edges, y_edges, z_edges)
-    for r in regions:
-        sl = []
-        for axis in range(3):
-            lo, hi = r.box[axis]
-            i0 = int(np.searchsorted(edges[axis], lo - 1e-9))
-            i1 = int(np.searchsorted(edges[axis], hi - 1e-9))
-            sl.append(slice(i0, i1))
-        mat[tuple(sl)] = code(material_names, r.material)
+    for r, *cells in zip(regions, *spans):
+        mat[tuple(cells)] = code(material_names, r.material)
         if r.label is not None:
-            lab[tuple(sl)] = code(label_names, r.label)
+            lab[tuple(cells)] = code(label_names, r.label)
 
     if (mat < 0).any():
         raise GeometryError("regions do not cover their bounding box")
-    return VoxelGrid(x_edges, y_edges, z_edges, mat, lab, material_names, label_names)
+    return VoxelGrid(*edges, mat, lab, material_names, label_names)
 
 
 def face_components(labels: np.ndarray) -> np.ndarray:

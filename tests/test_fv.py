@@ -10,7 +10,7 @@ from scipy.sparse import linalg as spla
 from cfetsim import cli, fv
 from cfetsim.config import load_config
 from cfetsim.device import ThermalContext
-from cfetsim.geometry import RAIL_NAMES, Region, voxelize
+from cfetsim.geometry import RAIL_NAMES, Region, VoxelGrid, voxelize
 from cfetsim.materials import default_library
 from cfetsim.parasitics import boundary_port_faces, extract_capacitance, extract_resistance
 from cfetsim.thermal import assemble, default_bc
@@ -469,3 +469,99 @@ def test_refining_to_2nm_costs_no_iterations(sample_cell, monkeypatch):
     assert len(counts) == 12
     coarse, fine = counts[:6], counts[6:]
     assert all(f <= c for f, c in zip(fine, coarse)), (coarse, fine)
+
+
+# Order of accuracy by a manufactured solution (Roache, J. Fluids Eng. 124,
+# 2002): u = (1 + sin kx)(1 + sin ky) Z(z) on a 10 nm cube, k = pi / L, with
+# c = 1 below a layer face at z = 4 nm and 7 above it. Z is linear below the
+# face and quadratic above, with u and c dZ/dz continuous across it. Z is
+# straight at the held z = 0 face because a curvature there adds an
+# h^2 log h term to the flux through it (with d2Z/dz2 = 0.2 below the face,
+# the flux order on this grid reads 1.67, 1.74, 1.79 and 1.82 over levels
+# 0-4), which no affordable level separates from a lower order.
+MMS_L, MMS_Z0, MMS_C = 10.0, 4.0, (1.0, 7.0)
+MMS_K = np.pi / MMS_L
+MMS_A, MMS_B = 0.3, 0.02  # dZ/dz below the layer face, half of d2Z/dz2 above it
+
+
+def mms_z(z):
+    """Z, dZ/dz, d2Z/dz2 and c at heights z in nm."""
+    below = z < MMS_Z0
+    t = z - MMS_Z0
+    slope = MMS_A * MMS_C[0] / MMS_C[1]  # dZ/dz just above the face
+    return (np.where(below, 1 + MMS_A * z, 1 + MMS_A * MMS_Z0 + slope * t + MMS_B * t ** 2),
+            np.where(below, MMS_A, slope + 2 * MMS_B * t),
+            np.where(below, 0.0, 2 * MMS_B),
+            np.where(below, *MMS_C))
+
+
+def mms_fields(x, y, z):
+    """u, grad u (nm^-1), div(c grad u) (nm^-2) and c at points in nm."""
+    xv, yv = 1 + np.sin(MMS_K * x), 1 + np.sin(MMS_K * y)
+    dx, dy = MMS_K * np.cos(MMS_K * x), MMS_K * np.cos(MMS_K * y)
+    zv, dz, d2z, c = mms_z(z)
+    grad = (dx * yv * zv, xv * dy * zv, xv * yv * dz)
+    lap = -MMS_K ** 2 * (xv - 1) * yv * zv - MMS_K ** 2 * xv * (yv - 1) * zv + xv * yv * d2z
+    return xv * yv * zv, grad, c * lap, c
+
+
+def mms_grid(level):
+    """5 x 5 x 6 cells with widths in a 1:3 range and the layer face on an
+    edge, every cell halved `level` times."""
+    rng = np.random.default_rng(19)
+
+    def spans(lo, hi, n):
+        w = rng.uniform(1.0, 3.0, n)
+        return lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(w) / w.sum()])
+
+    edges = []
+    for e in (spans(0, MMS_L, 5), spans(0, MMS_L, 5),
+              np.concatenate([spans(0, MMS_Z0, 2), spans(MMS_Z0, MMS_L, 4)[1:]])):
+        parts = [np.linspace(a, b, 2 ** level + 1)[:-1] for a, b in zip(e[:-1], e[1:])]
+        edges.append(np.concatenate(parts + [e[-1:]]))
+    dims = tuple(len(e) - 1 for e in edges)
+    return VoxelGrid(*edges, np.zeros(dims, dtype=np.int16), np.full(dims, -1, dtype=np.int16),
+                     ["sio2"], [])
+
+
+def mms_errors(level, r_surface_nm):
+    """(L2 error of u, relative error of the flux in through z = 0) on one level.
+
+    Every outer face is its own fixed value, behind `r_surface_nm` (in nm per
+    unit c): the exact u at the face centre when 0 (held), else the ambient
+    value whose surface flux equals the exact conductive one (convective).
+    """
+    grid = mms_grid(level)
+    centres = np.meshgrid(*(grid.centers(a) for a in range(3)), indexing="ij")
+    u, _, div, c = mms_fields(*centres)
+    active = np.ones(grid.dims, dtype=bool)
+    fixed, u_fixed, bottom = [], [], []
+    for axis, side, cells in fv.outer_faces(active):
+        point = [p.ravel()[cells] for p in centres]
+        point[axis] = np.full(cells.size, MMS_L * side)
+        u_face, grad, _, c_face = mms_fields(*point)
+        outward = grad[axis] if side else -grad[axis]
+        columns = np.arange(len(u_fixed), len(u_fixed) + cells.size)
+        if (axis, side) == (2, 0):
+            bottom = columns
+        fixed.append((axis, cells, columns))
+        u_fixed.extend(u_face + r_surface_nm * c_face * outward)
+    u_fixed = np.asarray(u_fixed)
+    # conductances scale by NM, so r_surface and the source do too
+    a_mat, b_mat = fv.assemble(grid, c, active, fixed, np.full(u_fixed.size, r_surface_nm * fv.NM))
+    vol = grid.cell_volumes().ravel()
+    u_h = spla.spsolve(a_mat.tocsc(), b_mat @ u_fixed - div.ravel() * vol * fv.NM)
+    l2 = np.sqrt((vol * (u_h - u.ravel()) ** 2).sum() / vol.sum())
+    # exact flux in through z = 0: -c dZ/dz(0) times the integral of X Y
+    exact = -MMS_C[0] * MMS_A * (MMS_L + 2 / MMS_K) ** 2 * fv.NM
+    flux = fv.boundary_flux(b_mat, u_h, u_fixed)[bottom].sum()
+    return l2, abs(flux - exact) / abs(exact)
+
+
+@pytest.mark.parametrize("r_surface_nm", [0.0, 0.5], ids=["held", "convective"])
+def test_operator_is_second_order_on_a_layered_nonuniform_grid(r_surface_nm):
+    """On 150, 1,200 and 9,600 cells, the L2 error of u and the error of the
+    flux through one face each fall at observed order 1.9 or more."""
+    errors = np.array([mms_errors(level, r_surface_nm) for level in range(3)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert (orders >= 1.9).all(), (errors, orders)

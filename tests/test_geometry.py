@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,60 @@ def test_sample_inverter_regions_are_unchanged(design, digest):
     stack, variant = cli._design_stack(config, design)
     regions = build_inverter_cell(config.device, stack, config.beol, variant)
     assert hashlib.sha256(regions_csv(regions).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("via_cross_section", [38, 40, 41, 45, 48])
+def test_off_lattice_via_is_rasterized_at_its_own_width(via_cross_section, tmp_path):
+    # sqrt(v) is off the 1e-6 nm lattice: the via's far face is placed on
+    # the grid line of its own rounded cut, not one cell past it
+    path = tmp_path / "via.ini"
+    path.write_text(SAMPLE_CONFIG.read_text().replace(
+        "via_cross_section = 36", f"via_cross_section = {via_cross_section}"))
+    config = load_config(str(path))
+    assert config.beol.via_cross_section == via_cross_section
+    grid = cli.build_inverter_grid(config, "2tier")[0]
+    cols = np.flatnonzero(grid.cells_of_label("Input").any(axis=(1, 2)))
+    x0, x1 = grid.x_edges[cols[0]], grid.x_edges[cols[-1] + 1]
+    # the Input via starts 2 nm past the 10 nm source extension
+    assert x0 == 12.0
+    assert x1 - x0 == pytest.approx(round(12.0 + math.sqrt(via_cross_section), 6) - 12.0,
+                                    rel=0, abs=1e-12)
+
+
+def test_off_lattice_refined_region_is_refined_from_its_own_cut():
+    lo = 2.0 + math.sqrt(2.0) / 10.0
+    base = Region(((0.0, 10.0), (0.0, 4.0), (0.0, 4.0)), "sio2")
+    fine = Region(((lo, 10.0), (0.0, 4.0), (0.0, 4.0)), "hfo2")
+    grid = voxelize([base, fine], 2.0, refinement={"hfo2": 0.5})
+    cols = np.flatnonzero(cells_of_material(grid, "hfo2").any(axis=(1, 2)))
+    assert len(cols) == 16
+    assert grid.x_edges[cols[0]] == round(lo, 6) == 2.141421
+    assert (grid.widths(0)[cols] <= 0.5).all()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_off_lattice_boxes_land_on_their_own_grid_lines(seed):
+    rng = np.random.default_rng(seed)
+    regions = [Region(((0.0, 20.0),) * 3, "sio2")]
+    for i in range(int(rng.integers(2, 6))):
+        lo = rng.uniform(0.0, 14.0, 3)
+        hi = lo + rng.uniform(0.5, 6.0, 3)
+        regions.append(Region(tuple(zip(lo.tolist(), hi.tolist())), "hfo2", label=f"box{i}"))
+    grid = voxelize(regions, 1.5, refinement={"hfo2": 0.7})
+    edges = (grid.x_edges, grid.y_edges, grid.z_edges)
+    for r in regions:
+        for e, (lo, hi) in zip(edges, r.box):
+            for c in (lo, hi):
+                # a grid edge, up to the rounding of the edge arithmetic
+                assert np.abs(e - round(c, 6)).min() <= 1e-12
+    # each cell carries the label of the last box whose rounded extent
+    # holds its centre, so no box is shifted by a cell
+    centres = [grid.centers(a) for a in range(3)]
+    expected = np.full(grid.dims, -1)
+    for r in regions[1:]:
+        inside = [(round(lo, 6) < c) & (c < round(hi, 6)) for c, (lo, hi) in zip(centres, r.box)]
+        expected[np.ix_(*inside)] = grid.label_code(r.label)
+    assert np.array_equal(grid.label, expected)
 
 
 # scipy.ndimage with the 6-neighbour structure is the reference for the
