@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgesv
-from scipy.sparse import csgraph
 
 from .device import T_REF, CompactModelParams, drain_current, she_operating_point
 from .errors import (
@@ -120,18 +120,27 @@ class Netlist:
     def validate_for_transient(self):
         if not self.elements:
             raise NetlistError("empty netlist")
-        # every node needs a DC path to ground through R, V or transistor elements
+        # every node needs a DC path to ground through R, V or transistor
+        # elements: a breadth-first search from ground over those links
         nodes = self.nodes
-        index = {n: i for i, n in enumerate(nodes)}
-        linked = np.zeros((len(nodes), len(nodes)))
+        linked = {n: set() for n in nodes}
         for el in self.elements:
             if isinstance(el, (Resistor, VSource)):
-                linked[index[el.n1], index[el.n2]] = 1.0
+                pairs = ((el.n1, el.n2),)
             elif isinstance(el, Transistor):
-                linked[index[el.s], [index[el.d], index[el.g]]] = 1.0
-        _, part = csgraph.connected_components(linked, directed=False)
-        for n, p in zip(nodes, part):
-            if p != part[0]:  # nodes lists ground first
+                pairs = ((el.s, el.d), (el.s, el.g))
+            else:
+                continue
+            for a, b in pairs:
+                linked[a].add(b)
+                linked[b].add(a)
+        reached, queue = {GROUND}, deque([GROUND])
+        while queue:
+            new = linked[queue.popleft()] - reached
+            reached |= new
+            queue.extend(new)
+        for n in nodes:
+            if n not in reached:
                 raise NetlistError(f"node {n!r} has no DC path to ground")
 
 

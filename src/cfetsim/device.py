@@ -392,7 +392,6 @@ class ThermalContext:
 
     r_mean: float = field(default=0.0, init=False)  # K/W channel-mean rise
     r_max: float = field(default=0.0, init=False)  # K/W peak rise
-    _unit_q: np.ndarray | None = field(default=None, init=False, repr=False)
     _unit_rise: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def prepare(self):
@@ -401,21 +400,23 @@ class ThermalContext:
             return self
         if self.operator is None:
             self.operator = assemble(self.grid, self.materials, self.bc)
-        unit = drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
-        fld = solve_steady(self.operator, unit, tol=self.tol)
+        fld = solve_steady(self.operator, self._unit_source(), tol=self.tol)
         rise = fld.values - self.bc.ambient
         mask = self.grid.cells_of_label(self.device_region)
         vols = self.grid.cell_volumes()
         self.r_mean = float((rise[mask] * vols[mask]).sum() / vols[mask].sum())
         self.r_max = float(rise.max())
-        self._unit_q = unit.q
         self._unit_rise = rise
         return self
 
+    def _unit_source(self) -> HeatSourceField:
+        return drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
+
     def heat_source(self, power: float) -> HeatSourceField:
-        """The hotspot source that dissipates `power` watts in the channel."""
+        """The hotspot source that dissipates `power` watts in the channel:
+        the unit source, built afresh so that no context holds it, scaled."""
         self.prepare()
-        return HeatSourceField(self._unit_q * power, self.grid)
+        return HeatSourceField(self._unit_source().q * power, self.grid)
 
     def solve_at_power(self, power: float) -> TemperatureField:
         """Steady field at `power` watts: ambient plus the scaled unit rise."""

@@ -190,13 +190,8 @@ def assemble(grid, coeff: np.ndarray, active: np.ndarray, fixed, r_surface):
 
 
 def boundary_flux(b_mat, u: np.ndarray, u_fixed: np.ndarray) -> np.ndarray:
-    """Flux from each fixed value into the domain: colsum(B) u_fixed - B^T u.
-
-    `u` and `u_fixed` may carry one solution per trailing column.
-    """
+    """Flux from each fixed value into the domain: colsum(B) u_fixed - B^T u."""
     colsum = np.asarray(b_mat.sum(axis=0)).ravel()
-    if u_fixed.ndim == 2:
-        colsum = colsum[:, None]
     return colsum * u_fixed - b_mat.T @ u
 
 
@@ -215,8 +210,9 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
     level whose coarser level is not the LU corrects twice, with the AMLI
     weights (`_cycle`).
 
-    Each level keeps A, w D^-1, the restriction P^T built for the Galerkin
-    product and the prolongation P, a CSC view of P^T's arrays; no aggregates.
+    Each level keeps A, w D^-1 and its aggregate map: `agg[i]` is the
+    coarse unknown of unknown i, in intp so that np.bincount and np.take
+    read it without a copy. P^T is built only to form the Galerkin product.
     """
     shape, dims = a_mat.shape, active.shape
     coords = np.nonzero(active)  # C order, the dof order of `assemble`
@@ -229,17 +225,16 @@ def multigrid(a_mat, active: np.ndarray) -> spla.LinearOperator:
         hit = np.zeros(np.prod(dims), dtype=bool)
         hit[key] = True
         blocks = np.flatnonzero(hit)
-        # in the index dtype of A: the column indices of A P below
-        agg = (np.cumsum(hit, dtype=a_mat.indices.dtype) - 1)[key]
+        agg = (np.cumsum(hit, dtype=np.intp) - 1)[key]
         coords = np.unravel_index(blocks, dims)
         n, n_coarse = a_mat.shape[0], blocks.size
-        # each row of P^T lists its unknowns in ascending order, so P^T r
-        # adds the same terms in the same order as np.bincount(agg, r)
+        levels.append((a_mat, JACOBI_W / a_mat.diagonal(), agg, n_coarse))
+        # P^T (A P) with A P sharing the values and row pointers of A, its
+        # column indices in the index dtype of A
         p_t = sparse.csr_matrix((np.ones(n), (agg, np.arange(n))), shape=(n_coarse, n))
-        levels.append((a_mat, JACOBI_W / a_mat.diagonal(), p_t, p_t.T))
-        # P^T (A P) with A P sharing the values and row pointers of A
-        a_mat = p_t @ sparse.csr_matrix((a_mat.data, agg[a_mat.indices], a_mat.indptr),
-                                        shape=(n, n_coarse))
+        a_mat = p_t @ sparse.csr_matrix(
+            (a_mat.data, agg.astype(a_mat.indices.dtype)[a_mat.indices], a_mat.indptr),
+            shape=(n, n_coarse))
     coarsest = spla.splu(a_mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     # the lambda holds the hierarchy without a reference cycle, so the
@@ -258,17 +253,17 @@ def _cycle(levels, coarsest, b):
     1990). The cycle applies a fixed polynomial in a symmetric operator,
     so it stays linear and symmetric and plain CG applies; E2 scales the
     residual before the second cycle, so e2 is never held beside e.
-    Each step updates an array it has just allocated, never `b`, and the
-    iterates are bit-identical to the plain expressions (P e adds each
-    e[agg] once to a zero). The residual is released once restricted.
+    The restriction P^T r is np.bincount(agg, r) and the prolongation P e
+    is e.take(agg). Each step updates an array it has just allocated, never
+    `b`. The residual is released once restricted.
     """
     if not levels:
         return coarsest.solve(b)
-    (a, wdinv, p_t, p), coarser = levels[0], levels[1:]
+    (a, wdinv, agg, n_coarse), coarser = levels[0], levels[1:]
     x = wdinv * b
     r = a @ x
     np.subtract(b, r, out=r)
-    rc = p_t @ r
+    rc = np.bincount(agg, r, minlength=n_coarse)
     del r
     e = _cycle(coarser, coarsest, rc)
     if coarser:  # a second correction, unless the first was the exact LU solve
@@ -276,7 +271,7 @@ def _cycle(levels, coarsest, b):
         rc *= AMLI_E2
         e *= AMLI_E1
         e += _cycle(coarser, coarsest, rc)
-    x += p @ e
+    x += e.take(agg)
     r = a @ x
     np.subtract(b, r, out=r)
     r *= wdinv

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from . import fv
 from .errors import (
@@ -538,20 +536,36 @@ def face_components(labels: np.ndarray) -> np.ndarray:
     """Face-connected components of equal labels, one index per cell.
 
     Two face neighbours join when they carry the same label >= 0. Each
-    component gets its own index >= 0, in no particular order; cells with
+    component is numbered by the lowest flat index of its cells; cells with
     a negative label get -1.
+
+    Every cell starts as its own root. Each round hooks the larger root of
+    every joined face pair under the smaller one, then jumps pointers until
+    every cell points at its root (after Shiloach and Vishkin, J. Algorithms
+    3, 1982); pairs whose roots agree are dropped, and the rounds end when
+    none is left. A cell's parent always has a lower index, so no hook makes
+    a cycle, and each component's root is its lowest cell.
     """
     flat = np.arange(labels.size).reshape(labels.shape)
-    rows, cols = [], []
+    lows, highs = [], []
     for axis in range(3):
         lo, hi = fv.face_pairs(axis)
         same = (labels[lo] == labels[hi]) & (labels[lo] >= 0)
-        rows.append(flat[lo][same])
-        cols.append(flat[hi][same])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    graph = sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(labels.size,) * 2)
-    _, parts = csgraph.connected_components(graph, directed=False)
-    return np.where(labels >= 0, parts.reshape(labels.shape), -1)
+        lows.append(flat[lo][same])
+        highs.append(flat[hi][same])
+    a, b = np.concatenate(lows), np.concatenate(highs)
+    root = np.arange(labels.size)
+    while a.size:
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        apart = root[a] != root[b]
+        a, b = a[apart], b[apart]
+    return np.where(labels >= 0, root.reshape(labels.shape), -1)
 
 
 def regions_csv(regions: list[Region]) -> str:

@@ -122,20 +122,23 @@ def extract_capacitance(grid: VoxelGrid, materials: dict[str, Material],
              for axis, _, cells, outer in fv.interfaces(domain, ~domain)]
     mat, coupling = fv.assemble(grid, eps, domain, fixed, np.zeros(nrhs))
     precond = fv.multigrid(mat, domain)  # one hierarchy for every right-hand side
+    del eps, cond_id, domain, fixed  # no solve reads them
 
     phi_fixed = np.eye(nrhs)  # solve i: conductor i at 1 V, all else at 0
     # all conductors at 1 V hold the potential at 1, so the solutions sum to
     # 1 and the last solve starts from 1 minus the others; it is still a
     # full solve checked on its own residual, so `asymmetry` keeps its meaning
-    phi = np.empty((mat.shape[0], nrhs))
     rest = np.ones(mat.shape[0])  # 1 minus the solutions so far
+    # Gauss sums, taken after each solve: c_raw[i, j] is the charge on
+    # conductor j in solve i
+    c_raw = np.empty((nrhs, nrhs))
     for i, name in enumerate(conductors):
-        phi[:, i] = fv.solve_spd(mat, coupling @ phi_fixed[:, i], tol, precond,
-                                 x0=rest if i == nrhs - 1 else None,
-                                 name=f"capacitance solve {name}")
-        rest -= phi[:, i]
-    # Gauss sums: c_raw[i, j] is the charge on conductor j in solve i
-    c_raw = fv.boundary_flux(coupling, phi, phi_fixed).T
+        phi = fv.solve_spd(mat, coupling @ phi_fixed[:, i], tol, precond,
+                           x0=rest if i == nrhs - 1 else None,
+                           name=f"capacitance solve {name}")
+        c_raw[i] = fv.boundary_flux(coupling, phi, phi_fixed[:, i])
+        rest -= phi
+        del phi  # not held through the next solve
 
     sym = 0.5 * (c_raw + c_raw.T)
     scale = np.abs(sym).max() or 1.0

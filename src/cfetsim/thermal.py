@@ -133,10 +133,14 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
 def solve_steady(op: ThermalOperator, sources: HeatSourceField,
                  tol: float) -> TemperatureField:
     """CG solve preconditioned by the operator's multigrid; deterministic for
-    fixed inputs at a fixed BLAS thread count."""
+    fixed inputs at a fixed BLAS thread count. The reference to `sources` is
+    dropped once the right-hand side is formed, so from Python 3.11, where a
+    call hands its arguments over, a source the caller does not keep is
+    freed before the solve."""
     ambient = np.full(op.boundary.shape[1], op.ambient)  # every sink
     wx, wy, wz = fv.widths(op.grid)
     b = op.boundary @ ambient + sources.q.ravel() * (wx * wy * wz).ravel()
+    del sources
     x0 = np.broadcast_to(op.ambient, b.shape)  # cg copies it into its own iterate
     x = fv.solve_spd(op.matrix, b, tol, op.precond, x0=x0, name="thermal solve")
     return TemperatureField(x.reshape(op.grid.dims), op.ambient)

@@ -521,6 +521,28 @@ print(sorted(m for m in sys.modules if m.startswith(("scipy.ndimage", "scipy.opt
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_cli_loads_no_csgraph(tmp_path):
+    # face connectivity and the DC-path check are numpy and Python searches:
+    # neither the import nor a thermal or SHE delay run loads scipy's graph
+    # routines
+    path = write_config(tmp_path)
+    script = f"""
+import sys
+from cfetsim import cli
+print("scipy.sparse.csgraph" in sys.modules)
+assert cli.main(["thermal", {path!r}, "--device", "0:p", "--out", {str(tmp_path / "th")!r}]) == 0
+assert cli.main(["delay", {path!r}, "--design", "2tier", "--parasitics", "on", "--she", "on",
+                 "--out", {str(tmp_path / "de")!r}]) == 0
+print(sorted(m for m in sys.modules if m.startswith("scipy.sparse.csgraph")))
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "[]")
+
+
 def test_delay_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     """The transient's dense solves give the same bytes on one BLAS thread
     and on two; without parasitics the delay runs no CG solve."""

@@ -387,6 +387,48 @@ def test_face_components_match_ndimage_label(seed):
     assert pairs.shape[1] == np.unique(got).size == np.unique(ref).size
 
 
+def lowest_cell_components(labels):
+    """`ndimage_components` with each component numbered by its lowest flat cell."""
+    ref = ndimage_components(labels).ravel()
+    parts, first = np.unique(ref, return_index=True)
+    lowest = np.full(ref.size, -1)
+    keep = parts >= 0
+    lowest[ref >= 0] = first[keep][np.searchsorted(parts[keep], ref[ref >= 0])]
+    return lowest.reshape(labels.shape)
+
+
+def serpentine(n_rows, length):
+    """One corridor of label 0 that runs `n_rows` times along x, the slowest
+    axis, turning at alternate ends, each wall between two runs a component
+    of label 2, and label 1 in a second layer along z but for one -1 cell.
+    Every step along x jumps a whole y-z plane of flat indices, and every
+    other run walks them downwards."""
+    labels = np.full((length, 2 * n_rows - 1, 2), 2)
+    labels[:, :, 1] = 1
+    labels[length // 2, n_rows, 1] = -1
+    for row in range(n_rows):
+        labels[:, 2 * row, 0] = 0
+        if row + 1 < n_rows:  # the turn to the next run
+            labels[length - 1 if row % 2 == 0 else 0, 2 * row + 1, 0] = 0
+    return labels
+
+
+def checkerboard(shape):
+    """Single cells whose six face neighbours carry the other label, after
+    one x plane of label 2."""
+    labels = np.indices(shape).sum(axis=0) % 2
+    labels[0] = 2
+    return labels
+
+
+@pytest.mark.parametrize("labels", [serpentine(40, 60), checkerboard((12, 9, 14))],
+                         ids=["serpentine", "checkerboard"])
+def test_face_components_number_each_component_by_its_lowest_cell(labels):
+    got = face_components(labels)
+    assert np.array_equal(got, lowest_cell_components(labels))
+    assert np.unique(got[labels >= 0]).size == ndimage_components(labels).max() + 1
+
+
 def dilation_touching(grid, name_a, name_b):
     a = grid.cells_of_label(name_a)
     b = grid.cells_of_label(name_b)
