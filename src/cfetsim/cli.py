@@ -74,7 +74,7 @@ def _she_context(config: RunConfig, grid, tier: int, operator=None):
 
 
 def _thermal_field(config: RunConfig, grid, tier: int, polarity: str):
-    """(power, field, energy balance) of the device at `tier`.
+    """(power, temperatures, energy balance) of the device at `tier`.
 
     The heat context, with its operator and multigrid hierarchy, ends with
     this call, so it is freed before the caller formats the heatmaps.
@@ -85,8 +85,8 @@ def _thermal_field(config: RunConfig, grid, tier: int, polarity: str):
         params = calibrated_params(config, polarity)
         vdd = config.device.vdd
         power = device.she_operating_point(params, vdd, ctx, **config.she).id * vdd
-    fld = ctx.solve_at_power(power)
-    return power, fld, thermal.energy_balance(ctx.operator, fld, ctx.heat_source(power))
+    temps = ctx.solve_at_power(power)
+    return power, temps, thermal.energy_balance(ctx.operator, temps, ctx.heat_source(power))
 
 
 def cmd_thermal(args) -> int:
@@ -103,10 +103,11 @@ def cmd_thermal(args) -> int:
     design = "2tier" if len(tiers) == 2 else ("4tier-top" if tier >= 2 else "4tier-bottom")
     grid = build_inverter_grid(config, design)[0]
 
-    power, fld, (p_in, p_out, rel) = _thermal_field(config, grid, tier, pol)
-    dtmax = thermal.delta_t_max(fld)
-    thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.csv"), "csv")
-    thermal.export_heatmap(fld, grid, os.path.join(args.out, "heatmap.vtk"), "vtk_legacy")
+    power, temps, (p_in, p_out, rel) = _thermal_field(config, grid, tier, pol)
+    dtmax = temps.max() - config.bc.ambient
+    reprs = thermal.format_reprs(temps)  # once, for both heatmaps
+    thermal.export_heatmap(reprs, grid, os.path.join(args.out, "heatmap.csv"), "csv")
+    thermal.export_heatmap(reprs, grid, os.path.join(args.out, "heatmap.vtk"), "vtk_legacy")
     summary = (
         f"device={args.device}\n"
         f"power_W={float(power)!r}\n"

@@ -46,15 +46,7 @@ from .errors import (
     check_rules,
 )
 from .materials import Material
-from .thermal import (
-    HeatSourceField,
-    TemperatureField,
-    ThermalBC,
-    ThermalOperator,
-    assemble,
-    drain_hotspot_source,
-    solve_steady,
-)
+from .thermal import ThermalBC, ThermalOperator, assemble, drain_hotspot_source, solve_steady
 
 Q_E = 1.602176634e-19  # C
 K_B = 1.380649e-23  # J/K
@@ -247,7 +239,7 @@ def threshold_voltage(p: CompactModelParams, vdd: float) -> float:
     lo, hi = -1.0, vdd + 2.0
     f = lambda v: current_magnitude(p, v, vdd) - icrit
     if f(lo) > 0 or f(hi) < 0:
-        raise CalibrationError("threshold criterion outside sweep range", stage="vth")
+        raise CalibrationError("stage vth: threshold criterion outside sweep range")
     return _brentq(f, lo, hi, xtol=1e-9)
 
 
@@ -292,7 +284,7 @@ def _fit_stage(p: CompactModelParams, name: str, target: float,
     try:
         fa, fb = g(a), g(b)
     except (OverflowError, ValueError) as exc:
-        raise CalibrationError(f"stage {name}: evaluation failed ({exc})", stage=name)
+        raise CalibrationError(f"stage {name}: evaluation failed ({exc})")
     if fa * fb > 0:
         x = a if abs(fa) <= abs(fb) else b
     else:
@@ -303,10 +295,10 @@ def _fit_stage(p: CompactModelParams, name: str, target: float,
 def fit_ion(p: CompactModelParams, ion: float, vdd: float) -> CompactModelParams:
     """Tune the velocity-saturation knob alone to hit an on-current."""
     if not ion > 0:
-        raise CalibrationError("ion target must be positive", stage="ion")
+        raise CalibrationError("ion target must be positive")
     fitted = _fit_stage(p, "ion", ion, vdd)
     if abs(current_magnitude(fitted, vdd, vdd) / ion - 1.0) > 1e-2:
-        raise CalibrationError("ion target unreachable via vsat0", stage="ion")
+        raise CalibrationError("ion target unreachable via vsat0")
     return fitted
 
 
@@ -341,7 +333,7 @@ def calibrate(targets: dict[str, float], seed: CompactModelParams) -> CompactMod
     if bad:
         raise CalibrationError(
             f"stage {bad[0]}: target unreachable within parameter bounds "
-            f"(residuals above 1 percent: {bad})", stage=bad[0])
+            f"(residuals above 1 percent: {bad})")
     return p
 
 
@@ -400,8 +392,7 @@ class ThermalContext:
             return self
         if self.operator is None:
             self.operator = assemble(self.grid, self.materials, self.bc)
-        fld = solve_steady(self.operator, self._unit_source(), tol=self.tol)
-        rise = fld.values - self.bc.ambient
+        rise = solve_steady(self.operator, self._unit_source(), tol=self.tol) - self.bc.ambient
         mask = self.grid.cells_of_label(self.device_region)
         vols = self.grid.cell_volumes()
         self.r_mean = float((rise[mask] * vols[mask]).sum() / vols[mask].sum())
@@ -409,20 +400,18 @@ class ThermalContext:
         self._unit_rise = rise
         return self
 
-    def _unit_source(self) -> HeatSourceField:
+    def _unit_source(self) -> np.ndarray:
         return drain_hotspot_source(self.grid, self.device_region, 1.0, self.concentration)
 
-    def heat_source(self, power: float) -> HeatSourceField:
-        """The hotspot source that dissipates `power` watts in the channel:
-        the unit source, built afresh so that no context holds it, scaled."""
-        self.prepare()
-        return HeatSourceField(self._unit_source().q * power, self.grid)
+    def heat_source(self, power: float) -> np.ndarray:
+        """The hotspot source in W/m^3 that dissipates `power` watts in the
+        channel: the unit source, built afresh so that no context holds it, scaled."""
+        return self._unit_source() * power
 
-    def solve_at_power(self, power: float) -> TemperatureField:
-        """Steady field at `power` watts: ambient plus the scaled unit rise."""
+    def solve_at_power(self, power: float) -> np.ndarray:
+        """Steady temperatures at `power` watts: ambient plus the scaled unit rise."""
         self.prepare()
-        ambient = self.bc.ambient
-        return TemperatureField(ambient + power * self._unit_rise, ambient)
+        return self.bc.ambient + power * self._unit_rise
 
 
 # [she] setting -> (test, rule stated in the error)

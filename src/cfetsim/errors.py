@@ -57,10 +57,6 @@ class CouplingDivergenceError(ConvergenceError):
 class CalibrationError(CfetSimError):
     """A calibration stage could not reach its target."""
 
-    def __init__(self, message, stage=None):
-        super().__init__(message)
-        self.stage = stage
-
 
 class ConnectivityError(CfetSimError):
     """Terminals do not lie on one connected conductor."""

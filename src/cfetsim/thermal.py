@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -69,40 +68,8 @@ THERMAL_RULES = {
     "top_h": (lambda v: v > 0, "must be positive"),  # inf holds the top face at ambient
     "tol": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "concentration": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
-    "total_power": (lambda v: v >= 0, "must be non-negative"),
+    "total_power": (lambda v: 0 <= v < math.inf, "must be finite and non-negative"),
 }
-
-
-@dataclass
-class HeatSourceField:
-    q: np.ndarray  # W/m^3 per cell
-    grid: VoxelGrid
-
-    def __post_init__(self):
-        if self.q.shape != self.grid.dims:
-            raise ConfigurationError("source shape does not match grid")
-        if not np.all(np.isfinite(self.q)) or (self.q < 0).any():
-            raise ConfigurationError("source density must be finite and non-negative")
-
-    @property
-    def total_power(self) -> float:
-        return float((self.q * self.grid.cell_volumes() * NM**3).sum())
-
-
-@dataclass
-class TemperatureField:
-    values: np.ndarray  # K per cell
-    ambient: float
-
-    @cached_property
-    def reprs(self) -> np.ndarray:
-        """`repr(float(v))` of each value as ASCII bytes, NUL-padded in an
-        S25 array shaped like `values` (no float's repr is longer than 24
-        characters). `format_reprs` computes them in integer arithmetic and
-        calls `repr` itself only for the values outside its fast path. They
-        are formatted once for every heatmap written from this field, so
-        `values` must not change after the first heatmap."""
-        return format_reprs(self.values)
 
 
 @dataclass
@@ -130,45 +97,42 @@ def assemble(grid: VoxelGrid, materials: dict[str, Material], bc: ThermalBC) -> 
     return ThermalOperator(mat, boundary, grid, bc.ambient, fv.multigrid(mat, everywhere))
 
 
-def solve_steady(op: ThermalOperator, sources: HeatSourceField,
-                 tol: float) -> TemperatureField:
-    """CG solve preconditioned by the operator's multigrid; deterministic for
-    fixed inputs at a fixed BLAS thread count. The reference to `sources` is
-    dropped once the right-hand side is formed, so from Python 3.11, where a
-    call hands its arguments over, a source the caller does not keep is
-    freed before the solve."""
+def solve_steady(op: ThermalOperator, q: np.ndarray, tol: float) -> np.ndarray:
+    """Temperatures in K per cell for the source `q` in W/m^3 per cell, by
+    CG preconditioned by the operator's multigrid; deterministic for fixed
+    inputs at a fixed BLAS thread count. The reference to `q` is dropped
+    once the right-hand side is formed, so from Python 3.11, where a call
+    hands its arguments over, a source the caller does not keep is freed
+    before the solve."""
     ambient = np.full(op.boundary.shape[1], op.ambient)  # every sink
     wx, wy, wz = fv.widths(op.grid)
-    b = op.boundary @ ambient + sources.q.ravel() * (wx * wy * wz).ravel()
-    del sources
+    b = op.boundary @ ambient + q.ravel() * (wx * wy * wz).ravel()
+    del q
     x0 = np.broadcast_to(op.ambient, b.shape)  # cg copies it into its own iterate
     x = fv.solve_spd(op.matrix, b, tol, op.precond, x0=x0, name="thermal solve")
-    return TemperatureField(x.reshape(op.grid.dims), op.ambient)
+    return x.reshape(op.grid.dims)
 
 
-def delta_t_max(fld: TemperatureField) -> float:
-    return float(fld.values.max() - fld.ambient)
-
-
-def energy_balance(op: ThermalOperator, fld: TemperatureField,
-                   sources: HeatSourceField) -> tuple[float, float, float]:
-    """(power in, boundary flux out, relative mismatch) for a converged field."""
-    p_in = sources.total_power
+def energy_balance(op: ThermalOperator, temps: np.ndarray,
+                   q: np.ndarray) -> tuple[float, float, float]:
+    """(power in, boundary flux out, relative mismatch) of converged
+    temperatures `temps` under the source `q`."""
+    p_in = float((q * op.grid.cell_volumes() * NM**3).sum())
     # the flux of the rise over ambient into the sinks, without cancelling ~300 K
-    rise = fld.values.ravel() - op.ambient
+    rise = temps.ravel() - op.ambient
     p_out = float((op.boundary.T @ rise).sum())
     rel = abs(p_in - p_out) / max(abs(p_in), abs(p_out), 1e-30)
     return p_in, p_out, rel
 
 
 def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float,
-                         concentration: float) -> HeatSourceField:
-    """Deposit power in a channel, biased toward its drain-side half.
+                         concentration: float) -> np.ndarray:
+    """W/m^3 per cell that deposit power in a channel, biased toward its drain-side half.
 
     x runs from source to drain (see `geometry`), so the drain-side half
     is the part of the channel above its x midplane. ``concentration`` of
     the power lands uniformly in that half, the rest uniformly in the
-    other half. The field integrates to total_power exactly.
+    other half. The source integrates to total_power exactly.
     """
     check_rules(THERMAL_RULES, {"total_power": total_power, "concentration": concentration})
     mask = grid.cells_of_label(device_region)
@@ -187,17 +151,18 @@ def drain_hotspot_source(grid: VoxelGrid, device_region: str, total_power: float
     q = np.zeros(grid.dims)
     q[near] = concentration * total_power / vols[near].sum()
     q[far] = (1.0 - concentration) * total_power / vols[far].sum()
-    return HeatSourceField(q, grid)
+    return q
 
 
-def export_heatmap(fld: TemperatureField, grid: VoxelGrid, path, fmt: str = "csv"):
-    """Write the field as CSV rows or a legacy ASCII VTK structured grid."""
-    if fld.values.shape != grid.dims:
+def export_heatmap(reprs: np.ndarray, grid: VoxelGrid, path, fmt: str = "csv"):
+    """Write temperatures, given as their `format_reprs` strings, as CSV rows
+    or a legacy ASCII VTK structured grid."""
+    if reprs.shape != grid.dims:
         raise ConfigurationError("field and grid dims differ")
     if fmt == "csv":
-        chunks = _heatmap_csv(fld, grid)
+        chunks = _heatmap_csv(reprs, grid)
     elif fmt == "vtk_legacy":
-        chunks = _heatmap_vtk(fld, grid)
+        chunks = _heatmap_vtk(reprs, grid)
     else:
         raise ConfigurationError(f"unknown heatmap format {fmt!r}")
     atomic_write(path, chunks)
@@ -230,8 +195,9 @@ _KEEP = np.where(np.arange(18) < np.arange(19)[:, None], 255, 0).astype(np.uint8
 
 
 def format_reprs(values: np.ndarray) -> np.ndarray:
-    """`repr(float(v))` of each value as ASCII bytes, in an S25 array shaped
-    like `values`. Values in [1, 2**53) are formatted in integer arithmetic,
+    """`repr(float(v))` of each value as ASCII bytes, NUL-padded in an S25
+    array shaped like `values` (no float's repr is longer than 24
+    characters). Values in [1, 2**53) are formatted in integer arithmetic,
     REPR_BLOCK at a time; every other value (below 1, zero, negative, 2**53
     and up, inf, nan) and every exact tie is formatted by `repr` itself."""
     flat = np.ravel(values)
@@ -348,20 +314,18 @@ def _lines(shape: tuple, *columns: np.ndarray) -> bytes:
     return m[m != 0].tobytes()
 
 
-# Both writers read the field's `reprs`, so each temperature is formatted
-# once however many heatmaps are written; that S25 array lives as long as
-# the field. The writers yield one slab of lines at a time as bytes, so
-# neither a heatmap nor one Python bytes object per cell sits in memory.
+# The writers yield one slab of lines at a time as bytes, so neither a
+# heatmap nor one Python bytes object per cell sits in memory.
 
-def _heatmap_csv(fld, grid):
+def _heatmap_csv(reprs, grid):
     xs, ys, zs = _centers(grid)
     ys, zs, comma = _rows(ys)[:, None], _rows(zs), np.frombuffer(b",", np.uint8)
     yield b"x_nm,y_nm,z_nm,T_K\n"
-    for x, slab in zip(xs, _rows(fld.reprs)):  # rows in C order: z varies fastest
+    for x, slab in zip(xs, _rows(reprs)):  # rows in C order: z varies fastest
         yield _lines(slab.shape[:2], np.frombuffer(x + b",", np.uint8), ys, comma, zs, comma, slab)
 
 
-def _heatmap_vtk(fld, grid):
+def _heatmap_vtk(reprs, grid):
     nx, ny, nz = grid.dims
     xs, ys, zs = _centers(grid)
     yield ("# vtk DataFile Version 3.0\n"
@@ -377,5 +341,5 @@ def _heatmap_vtk(fld, grid):
            "SCALARS temperature double 1\n"
            "LOOKUP_TABLE default\n").encode()
     # the C-order strings through a transposed view: one z slab at a time
-    for slab in _rows(fld.reprs).transpose(2, 1, 0, 3):
+    for slab in _rows(reprs).transpose(2, 1, 0, 3):
         yield _lines(slab.shape[:2], slab)

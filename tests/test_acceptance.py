@@ -45,7 +45,6 @@ from cfetsim.parasitics import (
 )
 from cfetsim.thermal import (
     FACE_KEYS,
-    HeatSourceField,
     ThermalBC,
     assemble,
     default_bc,
@@ -158,27 +157,27 @@ def test_criterion_2_thermal_analytic_oracle(library):
         op = assemble(grid, library, ThermalBC(h, 300.0))
 
         q = 1e18
-        src = HeatSourceField(np.full(grid.dims, q), grid)
-        fld = solve_steady(op, src, tol=1e-12)
+        src = np.full(grid.dims, q)
+        temps = solve_steady(op, src, tol=1e-12)
         x = grid.centers(0) * NM
         length_m = length * NM
         expected = 300.0 + q * x * (length_m - x) / (2.0 * kappa)
-        profile = fld.values[:, 0, 0]
+        profile = temps[:, 0, 0]
         assert np.abs(profile - expected).max() / (expected.max() - 300.0) < 0.01
 
-        p_in, p_out, rel = energy_balance(op, fld, src)
+        p_in, p_out, rel = energy_balance(op, temps, src)
         assert rel < 1e-6
 
         rng = np.random.default_rng(2)
-        qa = HeatSourceField(rng.random(grid.dims) * 1e17, grid)
-        qb = HeatSourceField(rng.random(grid.dims) * 1e17, grid)
+        qa = rng.random(grid.dims) * 1e17
+        qb = rng.random(grid.dims) * 1e17
         fa = solve_steady(op, qa, tol=1e-12)
         fb = solve_steady(op, qb, tol=1e-12)
-        fab = solve_steady(op, HeatSourceField(qa.q + qb.q, grid), tol=1e-12)
-        scale = max(fab.values.max() - 300.0, 1e-30)
-        assert np.abs(fab.values - (fa.values + fb.values - 300.0)).max() / scale < 1e-8
-        f2 = solve_steady(op, HeatSourceField(2.0 * qa.q, grid), tol=1e-12)
-        assert np.abs((f2.values - 300.0) - 2.0 * (fa.values - 300.0)).max() / scale < 1e-8
+        fab = solve_steady(op, qa + qb, tol=1e-12)
+        scale = max(fab.max() - 300.0, 1e-30)
+        assert np.abs(fab - (fa + fb - 300.0)).max() / scale < 1e-8
+        f2 = solve_steady(op, 2.0 * qa, tol=1e-12)
+        assert np.abs((f2 - 300.0) - 2.0 * (fa - 300.0)).max() / scale < 1e-8
 
 
 def test_criterion_3_extraction_analytic_oracles(library, device_spec):

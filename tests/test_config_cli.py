@@ -287,6 +287,23 @@ def test_cmd_thermal_solves_once(tmp_path, monkeypatch, power):
     assert len(calls) == 1
 
 
+def test_cmd_thermal_formats_its_temperatures_once(tmp_path, monkeypatch):
+    """Both heatmaps are written from one set of strings: of the
+    `format_reprs` calls a run makes, one is on a grid-sized array (the
+    others format the cell centres of one axis each)."""
+    sizes, real = [], thermal.format_reprs
+
+    def counting(values):
+        sizes.append(np.size(values))
+        return real(values)
+
+    monkeypatch.setattr(thermal, "format_reprs", counting)
+    path = write_config(tmp_path)
+    assert cli.main(["thermal", path, "--device", "0:p", "--out", str(tmp_path / "th")]) == 0
+    grid = cli.build_inverter_grid(cli.load_config(path), "2tier")[0]
+    assert sizes.count(grid.n_cells) == 1, sizes
+
+
 @pytest.mark.parametrize("power", ["2e-6", "auto"])
 def test_cmd_thermal_frees_the_heat_operator_before_the_export(tmp_path, monkeypatch, power):
     refs, dead_at_export = [], []
@@ -319,9 +336,9 @@ def test_cmd_thermal_matches_direct_solve(tmp_path):
     grid = cli.build_inverter_grid(config, "2tier")[0]
     ctx = cli._she_context(config, grid, 0).prepare()
     src = ctx.heat_source(float(summary["power_W"]))
-    fld = thermal.solve_steady(ctx.operator, src, tol=1e-12)
-    _, _, rel = thermal.energy_balance(ctx.operator, fld, src)
-    assert float(summary["delta_t_max_K"]) == pytest.approx(thermal.delta_t_max(fld), rel=1e-6)
+    temps = thermal.solve_steady(ctx.operator, src, tol=1e-12)
+    _, _, rel = thermal.energy_balance(ctx.operator, temps, src)
+    assert float(summary["delta_t_max_K"]) == pytest.approx(temps.max() - 300.0, rel=1e-6)
     assert float(summary["balance_rel"]) == pytest.approx(rel, abs=1e-6)
 
 

@@ -11,9 +11,9 @@ from cfetsim import cli, fv
 from cfetsim.config import load_config
 from cfetsim.device import ThermalContext
 from cfetsim.geometry import RAIL_NAMES, Region, VoxelGrid, voxelize
-from cfetsim.materials import default_library
+from cfetsim.materials import Material, default_library
 from cfetsim.parasitics import boundary_port_faces, extract_capacitance, extract_resistance
-from cfetsim.thermal import assemble, default_bc
+from cfetsim.thermal import FACE_KEYS, ThermalBC, assemble, default_bc, solve_steady
 
 
 SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sample_2tier.ini"
@@ -563,5 +563,53 @@ def test_operator_is_second_order_on_a_layered_nonuniform_grid(r_surface_nm):
     """On 150, 1,200 and 9,600 cells, the L2 error of u and the error of the
     flux through one face each fall at observed order 1.9 or more."""
     errors = np.array([mms_errors(level, r_surface_nm) for level in range(3)])
+    orders = np.log2(errors[:-1] / errors[1:])
+    assert (orders >= 1.9).all(), (errors, orders)
+
+
+# The same grid through the public heat path, `thermal.assemble` and
+# `thermal.solve_steady`: kappa is 1 W/(m K) below the layer face and 7 above
+# it, and the rise over ambient is S (1 + cos kx)(1 + cos ky) W(z), whose
+# cosine modes have no slope at the x and y faces, so those are adiabatic.
+# W is 0 at the held z = 0 face and linear up to the layer face; above it W
+# is quadratic and falls toward the top face, whose h carries exactly the
+# conducted flux out to ambient.
+HEAT_S, HEAT_A, HEAT_B = 10.0, 0.3, -0.01  # K; dW/dz below the face; half of d2W/dz2 above
+
+
+def heat_mms_w(z):
+    """W, dW/dz and d2W/dz2 at heights z in nm."""
+    below = z < MMS_Z0
+    t = z - MMS_Z0
+    slope = HEAT_A * MMS_C[0] / MMS_C[1]  # dW/dz just above the face
+    return (np.where(below, HEAT_A * z, HEAT_A * MMS_Z0 + slope * t + HEAT_B * t ** 2),
+            np.where(below, HEAT_A, slope + 2 * HEAT_B * t),
+            np.where(below, 0.0, 2 * HEAT_B))
+
+
+def heat_mms_error(level):
+    """The volume-weighted L2 error of the solved temperatures on one level."""
+    grid = mms_grid(level)
+    x, y, z = np.meshgrid(*(grid.centers(a) for a in range(3)), indexing="ij")
+    grid = dataclasses.replace(grid, material=(z > MMS_Z0).astype(np.int16),
+                               material_names=["low", "high"])
+    lib = {name: Material(name, "dielectric", kappa=c, eps_r=1.0)
+           for name, c in zip(grid.material_names, MMS_C)}
+    w_top, dw_top, _ = (float(v) for v in heat_mms_w(MMS_L))
+    h_top = -MMS_C[1] * dw_top / (w_top * fv.NM)  # W/(m^2 K): -kappa dT/dz = h (T - ambient)
+    bc = ThermalBC(dict.fromkeys(FACE_KEYS, 0.0) | {"z_min": np.inf, "z_max": h_top}, 300.0)
+    xv, yv = 1 + np.cos(MMS_K * x), 1 + np.cos(MMS_K * y)
+    w, _, d2w = heat_mms_w(z)
+    lap = HEAT_S * (-MMS_K ** 2 * ((xv - 1) * yv + xv * (yv - 1)) * w + xv * yv * d2w)
+    q = -np.where(z < MMS_Z0, *MMS_C) * lap / fv.NM ** 2  # W/m^3 = -div(kappa grad T)
+    temps = solve_steady(assemble(grid, lib, bc), q, tol=1e-12)
+    vol = grid.cell_volumes()
+    return np.sqrt((vol * (temps - 300.0 - HEAT_S * xv * yv * w) ** 2).sum() / vol.sum())
+
+
+def test_heat_path_is_second_order_on_a_layered_nonuniform_grid():
+    """Held bottom, convective top and adiabatic sides: on 150, 1,200 and
+    9,600 cells the L2 error of the temperatures falls at order 1.9 or more."""
+    errors = np.array([heat_mms_error(level) for level in range(3)])
     orders = np.log2(errors[:-1] / errors[1:])
     assert (orders >= 1.9).all(), (errors, orders)

@@ -13,12 +13,9 @@ from cfetsim.geometry import Region, VoxelGrid, voxelize
 from cfetsim.materials import Material, default_library
 from cfetsim.thermal import (
     FACE_KEYS,
-    HeatSourceField,
-    TemperatureField,
     ThermalBC,
     assemble,
     default_bc,
-    delta_t_max,
     drain_hotspot_source,
     energy_balance,
     export_heatmap,
@@ -43,7 +40,7 @@ def bar_bc(t=300.0):
 
 
 def uniform_source(grid, q):
-    return HeatSourceField(np.full(grid.dims, q), grid)
+    return np.full(grid.dims, q)
 
 
 def slab_grid(n=64, length=64.0, side=4.0, material="silicon_bulk"):
@@ -101,9 +98,9 @@ def test_interface_conductance_harmonic_mean():
 def test_zero_source_gives_ambient(library):
     grid = voxelize([Region(((0, 8), (0, 8), (0, 8)), "silicon_bulk")], 1.0)
     op = assemble(grid, library, all_dirichlet(300.0))
-    fld = solve_steady(op, uniform_source(grid, 0.0), tol=1e-12)
-    assert np.abs(fld.values - 300.0).max() < 1e-9
-    assert delta_t_max(fld) == pytest.approx(0.0, abs=1e-9)
+    temps = solve_steady(op, uniform_source(grid, 0.0), tol=1e-12)
+    assert np.abs(temps - 300.0).max() < 1e-9
+    assert temps.max() - 300.0 == pytest.approx(0.0, abs=1e-9)
 
 
 def test_1d_slab_analytic_profile(library):
@@ -113,15 +110,15 @@ def test_1d_slab_analytic_profile(library):
     grid = slab_grid(n, length)
     op = assemble(grid, library, bar_bc(300.0))
     q = 1e18  # W/m^3
-    fld = solve_steady(op, uniform_source(grid, q), tol=1e-12)
+    temps = solve_steady(op, uniform_source(grid, q), tol=1e-12)
     x = grid.centers(0) * NM
     length_m = length * NM
     expected = 300.0 + q * x * (length_m - x) / (2 * kappa)
-    profile = fld.values[:, 0, 0]
+    profile = temps[:, 0, 0]
     rise = expected - 300.0
     assert np.abs(profile - expected).max() / rise.max() < 0.01
     peak = q * length_m**2 / (8 * kappa)
-    assert delta_t_max(fld) == pytest.approx(peak, rel=0.01)
+    assert temps.max() - 300.0 == pytest.approx(peak, rel=0.01)
 
 
 def test_1d_convective_face_analytic_profile(library):
@@ -139,15 +136,15 @@ def test_1d_convective_face_analytic_profile(library):
     op = assemble(grid, library, sinks(x_min=math.inf, x_max=h))
     q = 1e18
     src = uniform_source(grid, q)
-    fld = solve_steady(op, src, tol=1e-12)
+    temps = solve_steady(op, src, tol=1e-12)
     c = q * length_m * 1.5 / 2.0
     peak = c**2 / (2 * q * kappa)
     x = grid.centers(0) * NM
     expected = 300.0 + x * (c - q * x / 2) / kappa
     # second-order discretisation error: 1.1e-4 of the peak at 64 cells
-    assert np.abs(fld.values[:, 0, 0] - expected).max() / peak < 2e-4
-    assert delta_t_max(fld) == pytest.approx(peak, rel=2e-4)
-    assert energy_balance(op, fld, src)[2] < 1e-6
+    assert np.abs(temps[:, 0, 0] - expected).max() / peak < 2e-4
+    assert temps.max() - 300.0 == pytest.approx(peak, rel=2e-4)
+    assert energy_balance(op, temps, src)[2] < 1e-6
 
 
 def test_finite_h_converges_to_held_face(library):
@@ -157,8 +154,8 @@ def test_finite_h_converges_to_held_face(library):
     gaps = []
     for h in (1e10, 1e14, 1e18, 1e30):
         op = assemble(grid, library, sinks(x_min=math.inf, x_max=h))
-        fld = solve_steady(op, src, tol=1e-12)
-        gaps.append(np.abs(fld.values - held.values).max() / delta_t_max(held))
+        temps = solve_steady(op, src, tol=1e-12)
+        gaps.append(np.abs(temps - held).max() / (held.max() - 300.0))
     assert all(b < a / 100 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-12
 
@@ -167,8 +164,8 @@ def test_energy_balance_tight(library):
     grid = slab_grid(64)
     op = assemble(grid, library, bar_bc())
     src = uniform_source(grid, 1e18)
-    fld = solve_steady(op, src, tol=1e-12)
-    p_in, p_out, rel = energy_balance(op, fld, src)
+    temps = solve_steady(op, src, tol=1e-12)
+    p_in, p_out, rel = energy_balance(op, temps, src)
     assert rel < 1e-6
 
 
@@ -176,17 +173,17 @@ def test_superposition_and_scaling(library):
     grid = slab_grid(32)
     op = assemble(grid, library, bar_bc())
     rng = np.random.default_rng(11)
-    q1 = HeatSourceField(rng.random(grid.dims) * 1e17, grid)
-    q2 = HeatSourceField(rng.random(grid.dims) * 1e17, grid)
+    q1 = rng.random(grid.dims) * 1e17
+    q2 = rng.random(grid.dims) * 1e17
     f1 = solve_steady(op, q1, tol=1e-12)
     f2 = solve_steady(op, q2, tol=1e-12)
-    f12 = solve_steady(op, HeatSourceField(q1.q + q2.q, grid), tol=1e-12)
-    joint = f1.values + f2.values - 300.0
-    scale = max(f12.values.max() - 300.0, 1e-30)
-    assert np.abs(f12.values - joint).max() / scale < 1e-8
+    f12 = solve_steady(op, q1 + q2, tol=1e-12)
+    joint = f1 + f2 - 300.0
+    scale = max(f12.max() - 300.0, 1e-30)
+    assert np.abs(f12 - joint).max() / scale < 1e-8
 
-    f3 = solve_steady(op, HeatSourceField(3.0 * q1.q, grid), tol=1e-12)
-    assert np.abs((f3.values - 300.0) - 3.0 * (f1.values - 300.0)).max() / scale < 1e-8
+    f3 = solve_steady(op, 3.0 * q1, tol=1e-12)
+    assert np.abs((f3 - 300.0) - 3.0 * (f1 - 300.0)).max() / scale < 1e-8
 
 
 def test_discrete_maximum_principle(library):
@@ -194,9 +191,9 @@ def test_discrete_maximum_principle(library):
                      Region(((2, 5), (1, 4), (2, 5)), "sio2")], 1.0)
     op = assemble(grid, library, default_bc())
     rng = np.random.default_rng(5)
-    src = HeatSourceField(rng.random(grid.dims) * 1e17, grid)
-    fld = solve_steady(op, src, tol=1e-12)
-    assert fld.values.min() >= 300.0 - 1e-6
+    src = rng.random(grid.dims) * 1e17
+    temps = solve_steady(op, src, tol=1e-12)
+    assert temps.min() >= 300.0 - 1e-6
 
 
 def test_sink_distance_monotonicity(library):
@@ -207,8 +204,8 @@ def test_sink_distance_monotonicity(library):
     for i in (4, 12, 20, 28):
         q = np.zeros(grid.dims)
         q[i, :, :] = 1e18
-        fld = solve_steady(op, HeatSourceField(q, grid), tol=1e-12)
-        peaks.append(delta_t_max(fld))
+        temps = solve_steady(op, q, tol=1e-12)
+        peaks.append(temps.max() - 300.0)
     assert all(b >= a - 1e-9 for a, b in zip(peaks, peaks[1:]))
 
 
@@ -218,15 +215,20 @@ def test_mirror_symmetric_source_gives_mirror_field(library):
     q = np.zeros(grid.dims)
     q[10, :, :] = 1e18
     q[21, :, :] = 1e18
-    fld = solve_steady(op, HeatSourceField(q, grid), tol=1e-12)
-    flipped = fld.values[::-1, :, :]
-    assert np.abs(fld.values - flipped).max() / delta_t_max(fld) < 1e-7
+    temps = solve_steady(op, q, tol=1e-12)
+    flipped = temps[::-1, :, :]
+    assert np.abs(temps - flipped).max() / (temps.max() - 300.0) < 1e-7
+
+
+def power_of(q, grid):
+    """The watts of a W/m^3 source over the grid's cells."""
+    return float((q * grid.cell_volumes() * NM**3).sum())
 
 
 def test_hotspot_source_integrates_exactly(device_grid2):
     total = 7.5e-6
     src = drain_hotspot_source(device_grid2, "tier0.channel", total, concentration=0.7)
-    assert src.total_power == pytest.approx(total, rel=1e-12)
+    assert power_of(src, device_grid2) == pytest.approx(total, rel=1e-12)
 
 
 def test_hotspot_concentration_split(device_grid2):
@@ -239,18 +241,18 @@ def test_hotspot_concentration_split(device_grid2):
     x_mid = 0.5 * (grid.x_edges[ix[0]] + grid.x_edges[ix[-1] + 1])
     drain_half = mask & (xc[:, None, None] > x_mid)
     vols = grid.cell_volumes() * NM**3
-    drain_power = float((src.q * vols)[drain_half].sum())
+    drain_power = float((src * vols)[drain_half].sum())
     assert drain_power == pytest.approx(conc * total, rel=1e-12)
 
 
 def test_hotspot_concentration_one(device_grid2):
     src = drain_hotspot_source(device_grid2, "tier0.channel", 1e-6, concentration=1.0)
-    assert src.total_power == pytest.approx(1e-6, rel=1e-12)
+    assert power_of(src, device_grid2) == pytest.approx(1e-6, rel=1e-12)
 
 
 def test_hotspot_zero_power(device_grid2):
     src = drain_hotspot_source(device_grid2, "tier0.channel", 0.0, concentration=0.7)
-    assert not src.q.any()
+    assert not src.any()
 
 
 def test_hotspot_unknown_region(device_grid2):
@@ -261,39 +263,38 @@ def test_hotspot_unknown_region(device_grid2):
 def test_heatmap_csv_round_trip(tmp_path, library):
     grid = voxelize([Region(((0, 2), (0, 2), (0, 2)), "silicon_bulk")], 1.0)
     op = assemble(grid, library, all_dirichlet())
-    fld = solve_steady(op, uniform_source(grid, 1e18), tol=1e-12)
+    temps = solve_steady(op, uniform_source(grid, 1e18), tol=1e-12)
     path = tmp_path / "map.csv"
-    export_heatmap(fld, grid, path, "csv")
+    export_heatmap(format_reprs(temps), grid, path, "csv")
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (8, 4)
-    assert np.allclose(data[:, 3], fld.values.ravel())
+    assert np.allclose(data[:, 3], temps.ravel())
 
 
 def test_heatmap_vtk_header(tmp_path, library):
     grid = voxelize([Region(((0, 2), (0, 2), (0, 2)), "silicon_bulk")], 1.0)
     op = assemble(grid, library, all_dirichlet())
-    fld = solve_steady(op, uniform_source(grid, 0.0), tol=1e-12)
+    temps = solve_steady(op, uniform_source(grid, 0.0), tol=1e-12)
     path = tmp_path / "map.vtk"
-    export_heatmap(fld, grid, path, "vtk_legacy")
+    export_heatmap(format_reprs(temps), grid, path, "vtk_legacy")
     text = path.read_text().splitlines()
     assert text[0].startswith("# vtk DataFile Version")
     assert "DATASET STRUCTURED_GRID" in text
     assert any(line.startswith("SCALARS temperature") for line in text)
 
 
-def _per_cell_csv(fld, grid):
+def _per_cell_csv(temps, grid):
     # one f-string per cell: the bytes the slab-wise CSV writer must reproduce
     xc, yc, zc = (grid.centers(a) for a in range(3))
     lines = ["x_nm,y_nm,z_nm,T_K"]
-    t = fld.values
     for i in range(len(xc)):
         for j in range(len(yc)):
             for k in range(len(zc)):
-                lines.append(f"{float(xc[i])!r},{float(yc[j])!r},{float(zc[k])!r},{float(t[i, j, k])!r}")
+                lines.append(f"{float(xc[i])!r},{float(yc[j])!r},{float(zc[k])!r},{float(temps[i, j, k])!r}")
     return "\n".join(lines) + "\n"
 
 
-def _per_cell_vtk(fld, grid):
+def _per_cell_vtk(temps, grid):
     # one f-string per cell: the bytes the slab-wise VTK writer must reproduce
     nx, ny, nz = grid.dims
     xc, yc, zc = (grid.centers(a) for a in range(3))
@@ -305,11 +306,10 @@ def _per_cell_vtk(fld, grid):
             for i in range(nx):
                 out.append(f"{float(xc[i])!r} {float(yc[j])!r} {float(zc[k])!r}")
     out += [f"POINT_DATA {nx * ny * nz}", "SCALARS temperature double 1", "LOOKUP_TABLE default"]
-    t = fld.values
     for k in range(nz):
         for j in range(ny):
             for i in range(nx):
-                out.append(f"{float(t[i, j, k])!r}")
+                out.append(f"{float(temps[i, j, k])!r}")
     return "\n".join(out) + "\n"
 
 
@@ -323,14 +323,13 @@ def test_heatmap_writers_match_per_cell_formatter(tmp_path):
     values = 300.0 + rng.random(dims) * rng.choice([0.0, 1e-9, 1e-3, 1.0, 1e4], dims)
     values.reshape(-1)[:3 * len(FALLBACK_VALUES):3] = FALLBACK_VALUES  # the per-value repr path
     writers = (("csv", _per_cell_csv), ("vtk_legacy", _per_cell_vtk))
-    # both formats from one field, in either order: the second writer reads
-    # the strings the first one formatted
+    # both formats from one set of strings, in either order
     for order in (writers, writers[::-1]):
-        fld = TemperatureField(values, 300.0)
+        reprs = format_reprs(values)
         for fmt, reference in order:
             path = tmp_path / f"map.{fmt}"
-            export_heatmap(fld, grid, path, fmt)
-            assert path.read_bytes() == reference(fld, grid).encode()
+            export_heatmap(reprs, grid, path, fmt)
+            assert path.read_bytes() == reference(values, grid).encode()
 
 
 # one of each kind of value the integer kernel leaves to repr (below 1, zero,
@@ -368,17 +367,17 @@ def test_heatmap_export_peak_memory_is_within_two_formatted_fields(tmp_path):
              for a, d in enumerate(dims)]
     grid = VoxelGrid(*edges, np.zeros(dims, dtype=int), np.full(dims, -1), ["silicon_bulk"], [])
     values = 300.0 + np.random.default_rng(7).random(dims)
-    export_heatmap(TemperatureField(values, 300.0), grid, tmp_path / "warm.csv")  # imports first
-    fld = TemperatureField(values, 300.0)
+    export_heatmap(format_reprs(values), grid, tmp_path / "warm.csv")  # imports first
     tracemalloc.start()
     try:
+        reprs = format_reprs(values)
         for fmt in ("csv", "vtk_legacy"):
-            export_heatmap(fld, grid, tmp_path / f"map.{fmt}", fmt)
+            export_heatmap(reprs, grid, tmp_path / f"map.{fmt}", fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 25 * values.size
-    assert fld.reprs.dtype == "S25" and fld.reprs.shape == dims
+    assert reprs.dtype == "S25" and reprs.shape == dims
 
 
 def test_heat_solve_peak_memory_is_within_nine_and_a_half_vectors(library, device_grid2):
@@ -402,9 +401,8 @@ def test_heat_solve_peak_memory_is_within_nine_and_a_half_vectors(library, devic
 
 
 def test_source_validation(device_grid2):
-    with pytest.raises(ConfigurationError):
-        HeatSourceField(np.full(device_grid2.dims, -1.0), device_grid2)
-    with pytest.raises(ConfigurationError):
-        drain_hotspot_source(device_grid2, "tier0.channel", -1.0, concentration=0.7)
+    for power in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="total_power"):
+            drain_hotspot_source(device_grid2, "tier0.channel", power, concentration=0.7)
     with pytest.raises(ConfigurationError):
         drain_hotspot_source(device_grid2, "tier0.channel", 1e-6, concentration=0.0)
